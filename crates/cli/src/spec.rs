@@ -295,6 +295,13 @@ impl ScenarioSpec {
         } else {
             let mut b = FleetBuilder::new();
             for entry in &self.fleet {
+                // `Pm::new` asserts this range; reject it here instead.
+                if !(entry.reliability > 0.0 && entry.reliability <= 1.0) {
+                    return Err(format!(
+                        "fleet entry {:?}: reliability {} is outside (0, 1]",
+                        entry.preset, entry.reliability
+                    ));
+                }
                 b = b.add_class(entry.class()?, entry.count, entry.reliability);
             }
             b.build()
@@ -432,6 +439,51 @@ mod tests {
             Err(e) => assert!(e.contains("oracle")),
             Ok(_) => panic!("unknown policy must error"),
         }
+    }
+
+    #[test]
+    fn reliability_outside_unit_interval_errors_cleanly() {
+        for bad in [2.0, -1.0, 0.0, f64::NAN] {
+            let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
+            spec.fleet.push(FleetEntry {
+                preset: "paper_fast".into(),
+                count: 2,
+                reliability: bad,
+                name: None,
+                cores: None,
+                memory_mib: None,
+                active_w: None,
+                idle_w: None,
+            });
+            let err = spec.build().map(|_| ()).unwrap_err();
+            assert!(err.contains("reliability"), "{bad}: {err}");
+        }
+        // The same values written in spec JSON (NaN has no JSON form).
+        for bad in ["2.0", "-1", "0"] {
+            let text = format!(
+                r#"{{
+                    "name": "t",
+                    "fleet": [ {{ "preset": "paper_slow", "count": 1, "reliability": {bad} }} ],
+                    "workload": {{ "profile": "light", "days": 1 }},
+                    "policy": {{ "kind": "first-fit" }}
+                }}"#
+            );
+            let spec = ScenarioSpec::from_json(&text).unwrap();
+            assert!(spec.build().is_err(), "{bad}");
+        }
+        // The boundary 1.0 is a valid score.
+        let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
+        spec.fleet.push(FleetEntry {
+            preset: "paper_fast".into(),
+            count: 1,
+            reliability: 1.0,
+            name: None,
+            cores: None,
+            memory_mib: None,
+            active_w: None,
+            idle_w: None,
+        });
+        assert!(spec.build().is_ok());
     }
 
     #[test]

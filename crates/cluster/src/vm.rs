@@ -178,13 +178,18 @@ impl Vm {
     /// Zero once the estimate is exhausted (the scheme then sees a VM "about
     /// to finish" and leaves it alone).
     pub fn estimated_remaining(&self, now: SimTime) -> SimDuration {
-        match self.started_at {
+        match self.estimated_deadline() {
             None => self.spec.estimated_runtime,
-            Some(start) => {
-                let deadline = start + self.spec.estimated_runtime + self.overhead;
-                deadline.saturating_since(now)
-            }
+            Some(deadline) => deadline.saturating_since(now),
         }
+    }
+
+    /// The instant the user estimate runs out given everything known now:
+    /// start + estimated runtime + accumulated overheads. `None` while
+    /// queued.
+    pub fn estimated_deadline(&self) -> Option<SimTime> {
+        self.started_at
+            .map(|s| s + self.spec.estimated_runtime + self.overhead)
     }
 
     /// Time spent waiting in the queue before starting (for QoS accounting).

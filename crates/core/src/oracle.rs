@@ -7,7 +7,7 @@
 //! structured [`Violation`]s in the report, so a long experiment returns
 //! its evidence instead of dying at the first inconsistency.
 //!
-//! Three ingredients (DESIGN.md §9):
+//! Four ingredients (DESIGN.md §9):
 //!
 //! 1. **Per-event invariants** over the live fleet: per-dimension capacity
 //!    (reservation sums equal `used`, `used` never exceeds capacity — with
@@ -26,6 +26,9 @@
 //!    re-integration of the power step function vs the meter) — run every
 //!    [`DEEP_AUDIT_STRIDE`] events and once more at the end of the run, so
 //!    their cost amortizes to ~zero while still bounding drift.
+//! 4. **Shadow computations**: at every spare-server control period the
+//!    simulator's incremental count of departures due within the period is
+//!    compared with the original full scan over every active VM.
 //!
 //! To keep the end-to-end overhead within the DESIGN.md §9 budget, the
 //! per-event capacity / bijection / reference checks are *incremental*:
@@ -38,10 +41,11 @@ use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::{Pm, PmId};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmState};
+use dvmp_forecast::departure::departures_within;
 use dvmp_metrics::energy::EnergyMeter;
 use dvmp_metrics::sla::SaturationMeter;
 use dvmp_metrics::violation::{Invariant, OracleSummary, Violation};
-use dvmp_simcore::SimTime;
+use dvmp_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Retained-violation cap; everything past it is counted, not stored.
@@ -287,6 +291,8 @@ pub struct Oracle {
     /// the saturation step function the SLA meter also sees.
     sla_violation_s: f64,
     events_audited: u64,
+    /// Findings raised between audits, committed with the next audit.
+    pending_findings: Vec<(Invariant, String)>,
     violations: Vec<Violation>,
     dropped: u64,
     /// Flight-recorder capture taken at the first violation (kept for the
@@ -317,6 +323,7 @@ impl Oracle {
             last_saturated: dc.saturated_count() as f64,
             sla_violation_s: 0.0,
             events_audited: 0,
+            pending_findings: Vec::new(),
             violations: Vec::new(),
             dropped: 0,
             flight_dump: None,
@@ -387,6 +394,32 @@ impl Oracle {
         }
     }
 
+    /// Checks the simulator's incremental count of departures due within
+    /// `window` of `now` against a full scan of the active VMs; a mismatch
+    /// is reported with the audit of the current event.
+    pub fn check_departures(
+        &mut self,
+        now: SimTime,
+        counted: u64,
+        vms: &BTreeMap<VmId, Vm>,
+        window: SimDuration,
+    ) {
+        let scanned = departures_within(
+            vms.values()
+                .filter(|vm| vm.is_active())
+                .map(|vm| vm.estimated_remaining(now)),
+            window,
+        );
+        if counted != scanned {
+            self.pending_findings.push((
+                Invariant::DepartureCount,
+                format!(
+                    "{counted} departures counted within {window} at {now}, a scan finds {scanned}"
+                ),
+            ));
+        }
+    }
+
     /// Audits the settled post-event state. `seq` is the engine's 1-based
     /// event counter; `vms`/`queue` are the simulator's lifecycle and
     /// backlog views; `meter`/`sla` are the recorder's energy and
@@ -403,7 +436,7 @@ impl Oracle {
         sla: &SaturationMeter,
     ) {
         self.events_audited += 1;
-        let mut found: Vec<(Invariant, String)> = Vec::new();
+        let mut found = std::mem::take(&mut self.pending_findings);
 
         // Time monotonicity.
         if now < self.last_time {
@@ -1305,6 +1338,40 @@ mod tests {
                 .any(|v| v.invariant == Invariant::SlaConservation),
             "{summary:?}"
         );
+    }
+
+    #[test]
+    fn departure_count_divergence_is_flagged() {
+        let mut dc = fleet();
+        let mut oracle = Oracle::new(&dc);
+        let mut meter = EnergyMeter::new();
+        meter.record(SimTime::ZERO, dc.total_power_w());
+        exec(
+            &mut dc,
+            &mut oracle,
+            FleetOp::Place {
+                vm: VmId(1),
+                pm: PmId(0),
+                demand: demand(),
+            },
+        );
+        let vms = BTreeMap::from([running_vm(1, PmId(0))]);
+        meter.record(SimTime::ZERO, dc.total_power_w());
+        let window = SimDuration::from_hours(1);
+        // The VM's 1 000 s estimate lies inside the hour: one departure.
+        oracle.check_departures(SimTime::ZERO, 1, &vms, window);
+        audit_clean(&mut oracle, 0, 1, &dc, &vms, &meter);
+        oracle.check_departures(SimTime::ZERO, 0, &vms, window);
+        let sla = SaturationMeter::new();
+        oracle.audit(SimTime::ZERO, 2, &dc, &vms, &VecDeque::new(), &meter, &sla);
+        let summary = oracle.into_summary(SimTime::ZERO, &dc, &vms, &VecDeque::new(), &meter, &sla);
+        let flagged: Vec<_> = summary
+            .violations
+            .iter()
+            .filter(|v| v.invariant == Invariant::DepartureCount)
+            .collect();
+        assert_eq!(flagged.len(), 1, "{summary:?}");
+        assert_eq!(flagged[0].seq, 2);
     }
 
     #[test]

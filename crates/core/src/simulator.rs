@@ -38,7 +38,7 @@ use dvmp_cluster::pm::{PmId, PmState};
 use dvmp_cluster::reliability::FailureProcess;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_forecast::departure::departures_within;
+use dvmp_forecast::departure::DueDeadlines;
 use dvmp_forecast::spare::SpareServerController;
 use dvmp_metrics::recorder::{RunMeta, RunReport, SimulationRecorder};
 use dvmp_placement::{Migration, PlacementPolicy, PlacementView};
@@ -95,6 +95,9 @@ struct SimWorld {
     policy: Box<dyn PlacementPolicy>,
     spare: Option<SpareServerController>,
     spare_target: u64,
+    /// Estimate deadlines of the active VMs, so a control period counts
+    /// the departures due within it without scanning every VM ever seen.
+    deadlines: DueDeadlines<VmId>,
     recorder: SimulationRecorder,
     cfg: SimConfig,
     failure: Option<FailureProcess>,
@@ -166,6 +169,8 @@ impl SimWorld {
             pm,
             ready_at: ready,
         };
+        self.deadlines
+            .insert(vm.estimated_deadline().expect("started"), id);
         if self.qos_started.insert(id) {
             self.recorder
                 .qos
@@ -353,7 +358,11 @@ impl SimWorld {
             to: m.to,
             done_at: done,
         };
+        let deadline = vm.estimated_deadline().expect("running VM started");
         vm.overhead += t_mig;
+        self.deadlines.remove(deadline, m.vm);
+        self.deadlines
+            .insert(vm.estimated_deadline().expect("started"), m.vm);
         vm.migrations += 1;
         let ev = sched.schedule_at(done, Event::MigrationDone(m.vm));
         self.migration_events.insert(m.vm, ev);
@@ -469,6 +478,8 @@ impl SimWorld {
             }
         }
         let vm = self.vms.get_mut(&id).expect("VM exists");
+        self.deadlines
+            .remove(vm.estimated_deadline().expect("active VM started"), id);
         vm.state = VmState::Queued;
         vm.started_at = None;
         vm.overhead = dvmp_simcore::SimDuration::ZERO;
@@ -499,8 +510,12 @@ impl SimWorld {
                         }
                         let t_mig = self.dc.pm(to).class.migration_time;
                         let vm = self.vms.get_mut(&id).expect("VM exists");
+                        let deadline = vm.estimated_deadline().expect("migrating VM started");
                         vm.overhead = vm.overhead.saturating_sub(t_mig);
                         vm.state = VmState::Running { pm: from };
+                        self.deadlines.remove(deadline, id);
+                        self.deadlines
+                            .insert(vm.estimated_deadline().expect("started"), id);
                         self.reschedule_departure(id, sched);
                         self.recorder.record_failure_aborted_migration();
                         dvmp_obs::note_migration_aborted(id.0 as u64);
@@ -531,13 +546,10 @@ impl SimWorld {
         let Some(sp) = &mut self.spare else { return };
         let period = sp.config().control_period;
         let _span = dvmp_obs::span!(dvmp_obs::Phase::SpareControl);
-        let n_dep = departures_within(
-            self.vms
-                .values()
-                .filter(|vm| vm.is_active())
-                .map(|vm| vm.estimated_remaining(now)),
-            period,
-        );
+        let n_dep = self.deadlines.due_by(now + period);
+        if let Some(oracle) = &mut self.oracle {
+            oracle.check_departures(now, n_dep, &self.vms, period);
+        }
         self.spare_target = sp.spare_servers(now, n_dep);
         let target = self.spare_target;
         self.mark(now, Milestone::SpareTarget(target));
@@ -586,7 +598,10 @@ impl World for SimWorld {
                 }
                 self.dc.remove_vm(id);
                 self.note(now, || FleetOp::Remove { vm: id });
-                self.vms.get_mut(&id).expect("VM exists").state = VmState::Completed { at: now };
+                let vm = self.vms.get_mut(&id).expect("VM exists");
+                self.deadlines
+                    .remove(vm.estimated_deadline().expect("departing VM started"), id);
+                vm.state = VmState::Completed { at: now };
                 let spec = &self.vms[&id].spec;
                 let core_seconds = spec.actual_runtime.as_secs_f64() * spec.resources.get(0) as f64;
                 self.recorder.record_departure(now, core_seconds);
@@ -706,6 +721,7 @@ impl Simulation {
             policy,
             spare,
             spare_target: 0,
+            deadlines: DueDeadlines::default(),
             recorder,
             cfg: cfg.clone(),
             failure,

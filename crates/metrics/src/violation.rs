@@ -41,6 +41,10 @@ pub enum Invariant {
     /// diverged from an independent re-integration of the fleet's
     /// physical-saturation step function.
     SlaConservation,
+    /// The spare-server controller's incremental count of departures due
+    /// within a control period diverged from a full scan of the active
+    /// VMs' estimated remaining times.
+    DepartureCount,
 }
 
 impl fmt::Display for Invariant {
@@ -54,6 +58,7 @@ impl fmt::Display for Invariant {
             Invariant::ReferenceDivergence => "reference-divergence",
             Invariant::VirtualCapacity => "virtual-capacity",
             Invariant::SlaConservation => "sla-conservation",
+            Invariant::DepartureCount => "departure-count",
         };
         f.write_str(name)
     }

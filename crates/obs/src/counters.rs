@@ -104,6 +104,10 @@ counter_bank! {
     compressed_round_passes,
     /// Compressed planner poisonings (fleet fell back to the dense path).
     compressed_poisons,
+    /// Columns compressed bound raises walked above MIG_threshold.
+    compressed_raise_cols,
+    /// Columns examined by the compressed bound stages (hot-set refresh).
+    compressed_bound_scan_cols,
     /// Persistent-matrix reuses (delta pass == one warm-cache hit).
     matrix_cache_hits,
     /// Spare-server controller decisions taken.
@@ -142,6 +146,8 @@ pub fn counters() -> &'static Counters {
         compressed_patch_cols: AtomicU64::new(0),
         compressed_round_passes: AtomicU64::new(0),
         compressed_poisons: AtomicU64::new(0),
+        compressed_raise_cols: AtomicU64::new(0),
+        compressed_bound_scan_cols: AtomicU64::new(0),
         matrix_cache_hits: AtomicU64::new(0),
         spare_decisions: AtomicU64::new(0),
         spare_servers_gauge: AtomicU64::new(0),

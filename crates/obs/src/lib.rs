@@ -362,6 +362,27 @@ pub fn note_compressed_patch(rows: u64, cols: u64) {
     }
 }
 
+/// A compressed patch's bound raises walked `cols` columns above the
+/// migration threshold into the hot set.
+#[inline]
+pub fn note_compressed_raise(cols: u64) {
+    if enabled() {
+        counters()
+            .compressed_raise_cols
+            .fetch_add(cols, Ordering::Relaxed);
+    }
+}
+
+/// A compressed pass's bound stages examined `cols` hot columns.
+#[inline]
+pub fn note_compressed_bound_scan(cols: u64) {
+    if enabled() {
+        counters()
+            .compressed_bound_scan_cols
+            .fetch_add(cols, Ordering::Relaxed);
+    }
+}
+
 /// A compressed pass's bound scan found a genuine threshold exceeder and
 /// entered Algorithm 1's round loop.
 #[inline]

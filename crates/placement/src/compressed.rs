@@ -27,10 +27,11 @@
 //!   per-demand level cache, so a candidate probe costs one table load.
 //! - Per column (one per migratable VM, kept sorted by `VmId` to match the
 //!   dense planner's column order): its demand, host row, authoritative
-//!   completion deadline, and `dbar` — an **upper bound** on the column's
-//!   best normalized score `max_r d(r,c)`.
+//!   completion deadline, and `dbar` — the column's best normalized score
+//!   `max_r d(r,c)` as of the epoch stamped beside it, which the lazy
+//!   floor below turns into an **upper bound** at any later pass.
 //!
-//! ## The `dbar` bound and why stale is sound
+//! ## Effective bounds, the lazy floor and the hot set
 //!
 //! `p^vir` decays monotonically as remaining time shrinks, so a column's
 //! exact score computed at pass `t` upper-bounds its score at every later
@@ -42,10 +43,11 @@
 //!   hosts is exactly refreshed (its denominator changed);
 //! - dirty VMs are exactly refreshed (or dropped / stashed);
 //! - when a `(s, d)` bucket gains *any insert* during a patch (a row
-//!   arriving at a level it did not occupy before), every demand-`d`
-//!   column's bound is raised to `p^rel_s·level_eff[top] / H(host)` — an
-//!   upper bound on any score the bucket can now produce, since
-//!   `p^vir·p^rel ≤ p^rel` and every candidate sits at or below the top.
+//!   arriving at a level it did not occupy before), every clean demand-`d`
+//!   column's bound is raised to `p_cap / H(host)` with
+//!   `p_cap = p^rel_s·level_eff_s[top]` — an upper bound on any score the
+//!   bucket can now produce, since `p^vir·p^rel ≤ p^rel` and every
+//!   candidate sits at or below the top.
 //!
 //! Inserts are the only candidate-side events that can raise a column's
 //! exact score: removals shrink the candidate set, and a *membership*
@@ -55,12 +57,39 @@
 //! only the host into a real candidate. Re-syncs that leave a row at its
 //! previous level are skipped entirely, so no-op churn does not mark
 //! buckets. Removals leave bounds stale-high, which is merely conservative.
-//! A planning pass then reduces to: patch, take `max dbar`; if it clears
-//! `MIG_threshold`, exactly refresh the exceeders; only if a genuine
-//! exceeder survives does the pass materialize per-column exact bests and
-//! run Algorithm 1's round loop — whose winner scan, tie-breaks and repair
-//! heuristics mirror the dense planner operation-for-operation, so the
-//! proposed migration sequence is bit-identical.
+//!
+//! The raise is applied lazily, so a patch costs O(dirty + log N) however
+//! many columns share the demand:
+//!
+//! - Every patch (and rebuild) bumps an `epoch`; a column's `dbar` is its
+//!   exact score as of the epoch stamped beside it.
+//! - Each demand keeps a numerator *floor*: a suffix-max stack of
+//!   `(epoch, p_cap)` raises, strictly decreasing in `p_cap`, so its size
+//!   is bounded by the C·64 values `p_cap` can take. A column's
+//!   **effective bound** is `max(dbar, floor_since(d, epoch) / H(host))`.
+//!   `H(host)` of a clean column cannot have moved since its stamp (any
+//!   re-sync of the host dirties the column), and division by a positive
+//!   constant is monotone under rounding, so this equals the bound an
+//!   eager per-column raise would have left, bit for bit.
+//! - Each demand keeps an index of the rows hosting its columns, ordered
+//!   by `H` (with a per-row column count, so a row is re-filed once when
+//!   its `H` moves, not once per hosted column). `p_cap / H` is
+//!   non-increasing in `H`, so the columns a raise lifts above
+//!   `MIG_threshold` sit on a prefix of that index; the raise walks only
+//!   the clean demand-`d` columns of that prefix.
+//! - The **hot set** holds exactly the columns whose effective bound
+//!   exceeds `MIG_threshold`: exact refreshes set or clear membership,
+//!   raise walks add to it.
+//!
+//! A planning pass then reduces to: patch; if the hot set is empty, stop
+//! (the common case, no column outside the dirty set visited); otherwise
+//! exactly refresh the hot columns; only if a genuine exceeder survives
+//! does the pass materialize per-column exact bests and run Algorithm 1's
+//! round loop — whose winner scan, tie-breaks and repair heuristics mirror
+//! the dense planner operation-for-operation, so the proposed migration
+//! sequence is bit-identical. Debug builds check every pass that each
+//! effective bound dominates its exact score and that hot-set membership
+//! matches `effective bound > MIG_threshold`.
 //!
 //! The planner's own hypothetical row mutations (and any divergence from
 //! the simulator skipping a proposed move, or the double-reservation
@@ -170,8 +199,45 @@ struct Col {
     /// Authoritative completion deadline (`now + estimated_remaining`),
     /// so remaining time at any later pass is `deadline − now`.
     deadline: SimTime,
-    /// Upper bound on `max_r d(r, c)`; see the module docs.
+    /// Exact `max_r d(r, c)` as of `epoch`; see the module docs.
     dbar: f64,
+    /// Epoch at which `dbar` was last computed exactly (narrow: every
+    /// column insert or removal moves the sorted `cols` tail).
+    epoch: u32,
+}
+
+impl Col {
+    fn new(id: VmId, demand: u8, host: u32, deadline: SimTime) -> Self {
+        Col {
+            id,
+            demand,
+            host,
+            deadline,
+            dbar: f64::INFINITY,
+            epoch: 0,
+        }
+    }
+}
+
+/// Total-order key of a hosted-entry probability: the bits of a positive
+/// `H` order like its value; `H ≤ 0` (every candidate scores ∞) sorts
+/// first as key 0.
+fn h_key(h: f64) -> u64 {
+    if h > 0.0 {
+        h.to_bits()
+    } else {
+        0
+    }
+}
+
+/// The bound a raise with numerator `p_cap` puts on a column whose host
+/// has hosted-entry probability `h`.
+fn raised(p_cap: f64, h: f64) -> f64 {
+    if h > 0.0 {
+        p_cap / h
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// Per-row state (indexed by `PmId.0` in persistent mode, by plan row in
@@ -225,6 +291,18 @@ pub(crate) struct CompressedPlanner {
     touched_buckets: Vec<u32>,
     snapshots_armed: bool,
     cols: Vec<Col>,
+    /// Bumped by every patch and rebuild; stamps exact bounds and raises.
+    epoch: u32,
+    /// Per demand: the numerator floor, `(epoch, p_cap)` raises with
+    /// `p_cap` strictly decreasing (see the module docs).
+    floors: Vec<Vec<(u32, f64)>>,
+    /// Per demand: the columns of that demand each row hosts.
+    row_cols: Vec<Vec<u32>>,
+    /// Per demand: the rows hosting a column of that demand, ordered by
+    /// `(h_key(H), row)` — the columns' order by `H(host)`.
+    by_h: Vec<BTreeSet<(u64, u32)>>,
+    /// Columns whose effective bound exceeds `MIG_threshold`.
+    hot: BTreeSet<VmId>,
     /// VMs seen mid-creation: re-examined once their ready time passes
     /// (the creation-done transition is not journaled — the datacenter's
     /// occupancy does not change at that instant).
@@ -276,6 +354,10 @@ impl CompressedPlanner {
         self.cols.clear();
         self.host_vms.clear();
         self.stash.clear();
+        self.floors.iter_mut().for_each(Vec::clear);
+        self.row_cols.iter_mut().for_each(Vec::clear);
+        self.by_h.iter_mut().for_each(BTreeSet::clear);
+        self.hot.clear();
     }
 
     /// Occupied `(superclass, demand)` level buckets — how spread the
@@ -341,6 +423,9 @@ impl CompressedPlanner {
         let d = self.demands.len() as u8;
         self.demands.push(*res);
         self.demand_lookup.insert(*res, d);
+        self.floors.push(Vec::new());
+        self.row_cols.push(vec![0; self.rows.len()]);
+        self.by_h.push(BTreeSet::new());
         let m = self.rows.len();
         let shards = cfg.resolve_shards(m);
         if shards > 1 {
@@ -467,7 +552,7 @@ impl CompressedPlanner {
                 self.active_rows -= 1;
             }
             self.rows[r].active = false;
-            self.rows[r].h = 0.0;
+            self.set_h(r, 0.0);
             return Ok(());
         }
         let eff_c = *self.effs.get(pm.class_idx).ok_or(Poison)?;
@@ -482,23 +567,56 @@ impl CompressedPlanner {
             self.active_rows += 1;
         }
         let h = Self::host_prob(&self.sclasses[s as usize], &pm.used, cfg);
-        self.rows[r] = Row {
-            active: true,
-            sclass: s,
-            used: pm.used,
-            h,
-        };
+        let row = &mut self.rows[r];
+        row.active = true;
+        row.sclass = s;
+        row.used = pm.used;
+        self.set_h(r, h);
         for d in 0..self.demands.len() {
             self.bucket_row_demand(r, d);
         }
         Ok(())
     }
 
+    /// Sets row `r`'s hosted-entry probability, re-filing the row in the
+    /// `H` index of every demand it hosts.
+    fn set_h(&mut self, r: usize, h: f64) {
+        let (old, new) = (h_key(self.rows[r].h), h_key(h));
+        self.rows[r].h = h;
+        if old != new {
+            for d in 0..self.demands.len() {
+                if self.row_cols[d][r] > 0 {
+                    self.by_h[d].remove(&(old, r as u32));
+                    self.by_h[d].insert((new, r as u32));
+                }
+            }
+        }
+    }
+
+    /// Counts a column of demand `d` onto host row `r`.
+    fn attach(&mut self, r: usize, d: usize) {
+        let n = &mut self.row_cols[d][r];
+        *n += 1;
+        if *n == 1 {
+            self.by_h[d].insert((h_key(self.rows[r].h), r as u32));
+        }
+    }
+
+    /// Takes a column of demand `d` off host row `r`.
+    fn detach(&mut self, r: usize, d: usize) {
+        let n = &mut self.row_cols[d][r];
+        *n -= 1;
+        if *n == 0 {
+            self.by_h[d].remove(&(h_key(self.rows[r].h), r as u32));
+        }
+    }
+
     /// Refreshes a row after a hypothetical `used` mutation (active flag
     /// and superclass unchanged).
     fn refresh_row(&mut self, r: usize, cfg: &DynamicConfig) {
         let sc = &self.sclasses[self.rows[r].sclass as usize];
-        self.rows[r].h = Self::host_prob(sc, &self.rows[r].used, cfg);
+        let h = Self::host_prob(sc, &self.rows[r].used, cfg);
+        self.set_h(r, h);
         for d in 0..self.demands.len() {
             self.bucket_row_demand(r, d);
         }
@@ -649,6 +767,14 @@ impl CompressedPlanner {
                 .map(|e| crate::config::quantize_score(e, cfg.class_tolerance)),
         );
         let m = view.dc.pms().len();
+        self.epoch += 1;
+        self.floors.iter_mut().for_each(Vec::clear);
+        for counts in &mut self.row_cols {
+            counts.clear();
+            counts.resize(m, 0);
+        }
+        self.by_h.iter_mut().for_each(BTreeSet::clear);
+        self.hot.clear();
         for b in &mut self.buckets {
             b.levels.iter_mut().for_each(BTreeSet::clear);
             b.mask = 0;
@@ -680,14 +806,10 @@ impl CompressedPlanner {
                     let r = pm.0 as usize;
                     if self.rows.get(r).is_some_and(|row| row.active) {
                         let d = self.register_demand(vm.demand(), cfg)?;
-                        self.cols.push(Col {
-                            id: vm.spec.id,
-                            demand: d,
-                            host: pm.0,
-                            deadline: view.now + vm.estimated_remaining(view.now),
-                            dbar: f64::INFINITY,
-                        });
+                        let deadline = view.now + vm.estimated_remaining(view.now);
+                        self.cols.push(Col::new(vm.spec.id, d, pm.0, deadline));
                         self.host_vms[r].insert(vm.spec.id);
+                        self.attach(r, d as usize);
                     }
                 }
                 VmState::Creating { ready_at, .. } => {
@@ -697,8 +819,7 @@ impl CompressedPlanner {
             }
         }
         for c in 0..self.cols.len() {
-            let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-            self.cols[c].dbar = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+            self.refresh_exact(c, view.now, cfg);
         }
         Ok(())
     }
@@ -730,9 +851,75 @@ impl CompressedPlanner {
 
     fn remove_col(&mut self, vm: VmId) {
         if let Ok(i) = self.col_index(vm) {
-            let host = self.cols[i].host as usize;
+            let (host, d) = (self.cols[i].host as usize, self.cols[i].demand as usize);
+            self.detach(host, d);
+            self.hot.remove(&vm);
             self.host_vms[host].remove(&vm);
             self.cols.remove(i);
+        }
+    }
+
+    /// Recomputes column `c`'s exact best at `now`, stamps it with the
+    /// current epoch and sets its hot-set membership. Returns whether the
+    /// column is hot.
+    fn refresh_exact(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> bool {
+        let rem = self.cols[c].deadline.saturating_since(now).as_secs();
+        let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+        let col = &mut self.cols[c];
+        col.dbar = d;
+        col.epoch = self.epoch;
+        let hot = d > cfg.mig_threshold;
+        if hot {
+            self.hot.insert(col.id);
+        } else {
+            self.hot.remove(&col.id);
+        }
+        hot
+    }
+
+    /// Applies a raise with numerator `p_cap` to every clean column of
+    /// demand `d`: records it in the demand's floor and walks the clean
+    /// demand-`d` columns on the rows of the `H` prefix whose raised bound
+    /// clears `thr` into the hot set (`dirty` columns are refreshed
+    /// exactly instead). Returns the number of columns walked.
+    fn raise(&mut self, d: usize, p_cap: f64, thr: f64, dirty: &BTreeSet<VmId>) -> u64 {
+        let floor = &mut self.floors[d];
+        while floor.last().is_some_and(|&(_, q)| q <= p_cap) {
+            floor.pop();
+        }
+        debug_assert!(floor.last().map_or(true, |&(e, _)| e < self.epoch));
+        floor.push((self.epoch, p_cap));
+        let mut walked = 0;
+        let lifted = self.by_h[d]
+            .iter()
+            .take_while(|&&(key, _)| raised(p_cap, f64::from_bits(key)) > thr);
+        for &(_, row) in lifted {
+            for &vm in &self.host_vms[row as usize] {
+                if dirty.contains(&vm) {
+                    continue;
+                }
+                let c = self.col_index(vm).expect("hosted VMs are columns");
+                if self.cols[c].demand as usize == d {
+                    self.hot.insert(vm);
+                    walked += 1;
+                }
+            }
+        }
+        walked
+    }
+
+    /// Column `c`'s effective bound: its exact score as of its epoch,
+    /// lifted by every raise of its demand since then (module docs).
+    /// Passes need only the hot set this bound implies, so release builds
+    /// never evaluate it; the debug-build checks do, every pass.
+    #[cfg(debug_assertions)]
+    fn effective_bound(&self, c: usize) -> f64 {
+        let col = &self.cols[c];
+        let floor = &self.floors[col.demand as usize];
+        let i = floor.partition_point(|&(e, _)| e <= col.epoch);
+        match floor.get(i) {
+            Some(&(_, p_cap)) => col.dbar.max(raised(p_cap, self.rows[col.host as usize].h)),
+            None => col.dbar,
         }
     }
 
@@ -742,6 +929,7 @@ impl CompressedPlanner {
         delta: &FleetDelta,
         cfg: &DynamicConfig,
     ) -> Result<(), Poison> {
+        self.epoch += 1;
         self.snapshots_armed = true;
         let mut dirty_cols: BTreeSet<VmId> = BTreeSet::new();
 
@@ -794,28 +982,24 @@ impl CompressedPlanner {
                     match self.col_index(vm_id) {
                         Ok(i) => {
                             let old_host = self.cols[i].host as usize;
+                            let old_d = self.cols[i].demand;
                             if old_host != r {
                                 self.host_vms[old_host].remove(&vm_id);
                                 self.host_vms[r].insert(vm_id);
+                            }
+                            if (old_host, old_d) != (r, d) {
+                                self.detach(old_host, old_d as usize);
+                                self.attach(r, d as usize);
                             }
                             let col = &mut self.cols[i];
                             col.demand = d;
                             col.host = pm.0;
                             col.deadline = deadline;
-                            col.dbar = f64::INFINITY;
                         }
                         Err(i) => {
-                            self.cols.insert(
-                                i,
-                                Col {
-                                    id: vm_id,
-                                    demand: d,
-                                    host: pm.0,
-                                    deadline,
-                                    dbar: f64::INFINITY,
-                                },
-                            );
+                            self.cols.insert(i, Col::new(vm_id, d, pm.0, deadline));
                             self.host_vms[r].insert(vm_id);
+                            self.attach(r, d as usize);
                         }
                     }
                 }
@@ -830,44 +1014,96 @@ impl CompressedPlanner {
         // Bound-raise triggers: buckets that gained an insert can now score
         // higher for *any* demand-matching column (a newcomer can turn a
         // level that held only a column's own host into a real candidate,
-        // so a top comparison alone would be unsound).
+        // so a top comparison alone would be unsound). One raise per
+        // demand, at the largest numerator its touched buckets reach.
         self.snapshots_armed = false;
-        let touched = std::mem::take(&mut self.touched_buckets);
-        for &b_idx in &touched {
-            self.buckets[b_idx as usize].marked = false;
-            let Some(top) = self.buckets[b_idx as usize].top() else {
+        let mut caps: Vec<(usize, f64)> = Vec::new();
+        for &b_idx in &self.touched_buckets {
+            let bucket = &mut self.buckets[b_idx as usize];
+            bucket.marked = false;
+            let Some(top) = bucket.top() else {
                 continue;
             };
-            let s = b_idx as usize / MAX_DEMANDS;
-            let d = (b_idx as usize % MAX_DEMANDS) as u8;
-            let sc = &self.sclasses[s];
+            let d = b_idx as usize % MAX_DEMANDS;
+            let sc = &self.sclasses[b_idx as usize / MAX_DEMANDS];
             let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
             let p_cap = rel_cap * sc.entry.level_eff[top as usize];
-            for col in &mut self.cols {
-                if col.demand != d {
-                    continue;
-                }
-                let h = self.rows[col.host as usize].h;
-                let bound = if h > 0.0 { p_cap / h } else { f64::INFINITY };
-                if bound > col.dbar {
-                    col.dbar = bound;
-                }
+            match caps.iter_mut().find(|(cd, _)| *cd == d) {
+                Some((_, cap)) => *cap = cap.max(p_cap),
+                None => caps.push((d, p_cap)),
             }
         }
-        self.touched_buckets = touched;
         self.touched_buckets.clear();
+        let mut raise_cols = 0u64;
+        for (d, p_cap) in caps {
+            raise_cols += self.raise(d, p_cap, cfg.mig_threshold, &dirty_cols);
+        }
+        dvmp_obs::note_compressed_raise(raise_cols);
 
         // Exact refresh of every dirty column that survived as live.
         let mut refreshed = 0u64;
         for &vm_id in &dirty_cols {
             if let Ok(c) = self.col_index(vm_id) {
-                let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-                self.cols[c].dbar = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+                self.refresh_exact(c, view.now, cfg);
                 refreshed += 1;
             }
         }
         dvmp_obs::note_compressed_patch(dirty_rows, refreshed);
         Ok(())
+    }
+
+    /// Debug-build check of the bound invariants (module docs): every
+    /// effective bound dominates its column's exact score, the hot set is
+    /// exactly the columns whose effective bound exceeds the threshold,
+    /// and the `H` index files exactly the (demand, host row) pairs that
+    /// have columns, each under the row's current `H`.
+    #[cfg(debug_assertions)]
+    fn assert_bounds(&self, now: SimTime, cfg: &DynamicConfig) {
+        let thr = cfg.mig_threshold;
+        for c in 0..self.cols.len() {
+            let col = &self.cols[c];
+            let rem = col.deadline.saturating_since(now).as_secs();
+            let exact = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+            let bound = self.effective_bound(c);
+            debug_assert!(
+                bound >= exact,
+                "stale-low bound: vm {:?} host {} demand {} bound {} exact {} (t={})",
+                col.id,
+                col.host,
+                col.demand,
+                bound,
+                exact,
+                now.as_secs(),
+            );
+            debug_assert_eq!(
+                self.hot.contains(&col.id),
+                bound > thr,
+                "hot-set membership of vm {:?} (bound {bound}, threshold {thr})",
+                col.id,
+            );
+        }
+        debug_assert!(
+            self.hot.iter().all(|vm| self.col_index(*vm).is_ok()),
+            "hot set names a dropped column"
+        );
+        let mut hosted: std::collections::BTreeMap<(u8, u32), u32> = Default::default();
+        for col in &self.cols {
+            *hosted.entry((col.demand, col.host)).or_default() += 1;
+        }
+        for (&(d, r), &n) in &hosted {
+            debug_assert_eq!(
+                self.row_cols[d as usize][r as usize], n,
+                "row {r} demand {d} count"
+            );
+            debug_assert!(
+                self.by_h[d as usize].contains(&(h_key(self.rows[r as usize].h), r)),
+                "row {r} filed in demand {d}'s H index under its current H"
+            );
+        }
+        debug_assert_eq!(
+            self.by_h.iter().map(BTreeSet::len).sum::<usize>(),
+            hosted.len()
+        );
     }
 
     // -------------------------------------------------------------------
@@ -888,38 +1124,26 @@ impl CompressedPlanner {
         if self.cols.is_empty() || self.active_rows < 2 {
             return Some((Vec::new(), false));
         }
-        // Checked mode: in debug builds, prove the carried bounds dominate
-        // the exact scores before trusting the early-out on them.
+        // Checked mode: in debug builds, prove the effective bounds
+        // dominate the exact scores and the hot set is exactly the columns
+        // whose effective bound clears the threshold, before trusting the
+        // early-out on them.
         #[cfg(debug_assertions)]
-        for c in 0..self.cols.len() {
-            let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-            let exact = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
-            debug_assert!(
-                self.cols[c].dbar >= exact,
-                "stale-low bound: vm {:?} host {} demand {} dbar {} exact {} (t={})",
-                self.cols[c].id,
-                self.cols[c].host,
-                self.cols[c].demand,
-                self.cols[c].dbar,
-                exact,
-                view.now.as_secs(),
-            );
-        }
-        // Stage 1: the bound scan. Most passes end here.
-        let thr = cfg.mig_threshold;
-        if !self.cols.iter().any(|c| c.dbar > thr) {
+        self.assert_bounds(view.now, cfg);
+        // Stage 1: most passes end here, having visited no column outside
+        // the patch's dirty set.
+        if self.hot.is_empty() {
             return Some((Vec::new(), false));
         }
-        // Stage 2: exact refresh of the exceeders at the current instant.
+        // Stage 2: exact refresh of the hot columns at the current instant;
+        // the ones still above the threshold stay hot.
+        let hot = std::mem::take(&mut self.hot);
         let mut any = false;
-        for c in 0..self.cols.len() {
-            if self.cols[c].dbar > thr {
-                let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-                let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
-                self.cols[c].dbar = d;
-                any |= d > thr;
-            }
+        for &vm in &hot {
+            let c = self.col_index(vm).expect("hot columns are live");
+            any |= self.refresh_exact(c, view.now, cfg);
         }
+        dvmp_obs::note_compressed_bound_scan(hot.len() as u64);
         if !any {
             return Some((Vec::new(), false));
         }
@@ -987,6 +1211,9 @@ impl CompressedPlanner {
             self.cols[col].host = to as u32;
             self.host_vms[from].remove(&vm_id);
             self.host_vms[to].insert(vm_id);
+            let d = self.cols[col].demand as usize;
+            self.detach(from, d);
+            self.attach(to, d);
             moves.push(Migration {
                 vm: vm_id,
                 from: self.row_ids[from],
@@ -1023,8 +1250,13 @@ impl CompressedPlanner {
         }
         // The exact bests become the carried bounds, and the pass's own
         // touches are re-read authoritatively next patch.
+        self.hot.clear();
         for (col, b) in self.cols.iter_mut().zip(best.iter()) {
             col.dbar = b.map_or(0.0, |(_, d)| d);
+            col.epoch = self.epoch;
+            if col.dbar > cfg.mig_threshold {
+                self.hot.insert(col.id);
+            }
         }
         for m in &moves {
             self.self_dirty_pms.insert(m.from);
@@ -1123,14 +1355,10 @@ pub(crate) fn one_shot(
             p.poison();
             return None;
         };
-        p.cols.push(Col {
-            id: vm.id,
-            demand: d,
-            host: vm.host as u32,
-            deadline: SimTime::ZERO,
-            dbar: f64::INFINITY,
-        });
+        p.cols
+            .push(Col::new(vm.id, d, vm.host as u32, SimTime::ZERO));
         p.host_vms[vm.host].insert(vm.id);
+        p.attach(vm.host, d as usize);
     }
     let rems: Vec<u64> = plan.vms.iter().map(|vm| vm.remaining_secs).collect();
     let rem_of = move |_cols: &[Col], c: usize| rems[c];
@@ -1183,6 +1411,14 @@ mod tests {
                 dc,
                 vms: BTreeMap::new(),
                 policy: DynamicPlacement::new(cfg_with(kernel)),
+            }
+        }
+
+        fn view(&self, now: SimTime) -> PlacementView<'_> {
+            PlacementView {
+                dc: &self.dc,
+                vms: &self.vms,
+                now,
             }
         }
 
@@ -1389,6 +1625,76 @@ mod tests {
             comp.policy.compressed_passes() > 0,
             "seed {seed}: the compressed kernel must actually run"
         );
+    }
+
+    #[test]
+    fn bucket_insert_lifts_a_clean_column_into_the_hot_set() {
+        // VM 1 runs alone on PM 6, a small slow machine, in an otherwise
+        // empty fleet: no candidate reaches a higher utilization level, so
+        // no move clears the threshold.
+        let mut dense = Twin::new(PlanKernel::Dense);
+        let mut comp = Twin::new(PlanKernel::Compressed);
+        let cfg = cfg_with(PlanKernel::Compressed);
+        let mut planner = CompressedPlanner::new();
+        let t0 = SimTime::ZERO;
+        for twin in [&mut dense, &mut comp] {
+            install(
+                &mut twin.dc,
+                &mut twin.vms,
+                spec(1, 512, 200_000),
+                PmId(6),
+                t0,
+            );
+        }
+        let delta = comp.dc.take_fleet_delta();
+        let (moves, _) = planner
+            .plan_migrations(&comp.view(t0), Some(delta), &cfg)
+            .expect("compressible");
+        assert_eq!(moves, dense.plan(t0));
+        assert!(moves.is_empty() && planner.hot.is_empty());
+        let v = planner.col_index(VmId(1)).unwrap();
+        assert!(planner.cols[v].dbar <= cfg.mig_threshold);
+
+        // VM 2 lands on PM 7: that row enters the (slow, 512 MiB) bucket
+        // one level up. The patch dirties PM 7 and VM 2 only, yet the
+        // raise must lift VM 1's clean column above the threshold.
+        let t1 = SimTime::from_secs(100);
+        for twin in [&mut dense, &mut comp] {
+            install(
+                &mut twin.dc,
+                &mut twin.vms,
+                spec(2, 512, 200_000),
+                PmId(7),
+                t1,
+            );
+        }
+        let delta = comp.dc.take_fleet_delta();
+        assert!(!delta.dirty_vms().contains(&VmId(1)));
+        assert!(planner.ensure_synced(&comp.view(t1), Some(delta), &cfg));
+        let v = planner.col_index(VmId(1)).unwrap();
+        assert!(
+            planner.cols[v].epoch < planner.epoch,
+            "VM 1 was not refreshed by the patch"
+        );
+        assert!(planner.cols[v].dbar <= cfg.mig_threshold);
+        assert!(
+            planner.hot.contains(&VmId(1)),
+            "the raise walked the clean column into the hot set"
+        );
+
+        // The pass refreshes the hot set exactly (Stage 2) and proposes
+        // the dense twin's batch.
+        let delta = comp.dc.take_fleet_delta();
+        let (moves, _) = planner
+            .plan_migrations(&comp.view(t1), Some(delta), &cfg)
+            .expect("compressible");
+        let v = planner.col_index(VmId(1)).unwrap();
+        assert_eq!(
+            planner.cols[v].epoch, planner.epoch,
+            "Stage 2 refreshed VM 1"
+        );
+        assert_eq!(moves, dense.plan(t1));
+        assert!(!moves.is_empty(), "the two lone VMs consolidate");
     }
 
     #[test]

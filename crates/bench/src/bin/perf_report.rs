@@ -3,12 +3,12 @@
 //! Measures, at paper scale (the Table II fleet: 100 PMs, 500+ VMs):
 //!
 //! 1. full probability-matrix builds — reference kernel vs the
-//!    class-cached fast kernel vs the parallel chunked build;
-//! 2. complete planning passes — a fresh `DynamicPlacement` per pass
-//!    (re-allocating plan, matrix and caches) vs one policy reusing its
+//!    class-cached fast kernel;
+//! 2. complete dense planning passes — a fresh planner per pass
+//!    (re-allocating plan, matrix and caches) vs one planner reusing its
 //!    planning arena;
-//! 3. an end-to-end week simulation with the dynamic scheme under both
-//!    kernels, asserting the reported energy is identical;
+//! 3. an end-to-end week simulation on the dense planner under both
+//!    matrix kernels, asserting the reported energy is identical;
 //! 4. the checked-mode oracle's end-to-end overhead — the same scenario
 //!    with and without `SimConfig.checked`, asserting zero violations,
 //!    an unperturbed trace, and overhead within the DESIGN.md §9 budget;
@@ -22,30 +22,23 @@
 //!    delta update (DESIGN.md §8) vs forced fresh rebuilds, on converged
 //!    fleets at 100×500 and 1k×5k, asserting the two paths propose
 //!    identical migration plans;
-//! 7. plan-kernel rows — steady-state passes of the dense kernel vs the
-//!    class-compressed planner on the same converged fleets, recording
-//!    the per-kernel row counts (`M` PM rows vs `C` superclasses), the
-//!    superclass bucket occupancy and poison status, the kernel
-//!    `PlanKernel::Auto` selects at that fleet size, and that the two
-//!    kernels propose identical migration plans;
-//! 8. dense-sweep rows — the scalar reference best-candidate sweep vs the
-//!    lane-chunked (SIMD-screened) sweep and the sharded parallel sweep,
-//!    up to a 100k-row fleet, asserting all variants return bit-identical
-//!    candidates at every shard count (DESIGN.md §12);
-//! 9. heterogeneous scaling rows — jittered-reliability fleets whose
+//! 7. plan-kernel rows — steady-state passes of the dense delta planner
+//!    vs the production class-compressed planner on the same converged
+//!    fleets, recording the per-kernel row counts (`M` PM rows vs `C`
+//!    superclasses), the superclass bucket occupancy and poison status,
+//!    and that the two propose identical migration plans;
+//! 8. heterogeneous scaling rows — jittered-reliability fleets whose
 //!    per-PM spread fragments the exact class key, planned with tolerance
 //!    bucketing (`class_tolerance`) so the compressed kernel survives;
 //!    every scaling row records the superclass count and poison status
 //!    the fleet registers at its tolerance;
-//! 10. quantization divergence — the same jittered week planned exact
-//!     (t = 0, which poisons to dense) vs bucketed, reporting the energy
-//!     and migration divergence so the approximation is measured, never
-//!     silent.
+//! 9. quantization divergence — the same jittered week planned exact
+//!    (t = 0, which poisons to dense) vs bucketed, reporting the energy
+//!    and migration divergence so the approximation is measured, never
+//!    silent.
 //!
-//! Each matrix-build row also records the kernel
-//! `DynamicConfig::auto_par_rows_cutoff` selects for that shape next to
-//! the measured per-kernel timings; the CI gate fails when the selected
-//! kernel is not (within noise) the measured winner.
+//! The dense planner is reached through `DynamicPlacement::dense_reference`,
+//! the reference the production planner is measured against.
 //!
 //! Results go to stdout and to `BENCH_placement.json` in the working
 //! directory (schema documented in DESIGN.md §8). `--smoke` shrinks the
@@ -77,17 +70,8 @@ struct MatrixBuildBench {
     iters: usize,
     reference_ns: f64,
     fast_ns: f64,
-    parallel_ns: f64,
     speedup_fast_vs_reference: f64,
-    speedup_parallel_vs_reference: f64,
     bit_identical: bool,
-    /// Kernel `DynamicConfig::auto_par_rows_cutoff` picks at this shape on
-    /// this host ("sequential" or "parallel") and its measured time.
-    chosen_kernel: &'static str,
-    chosen_ns: f64,
-    /// The faster of the two auto-selectable kernels at this shape.
-    winner_kernel: &'static str,
-    winner_ns: f64,
 }
 
 #[derive(Serialize)]
@@ -95,8 +79,8 @@ struct IncrementalPlanBench {
     pms: usize,
     vms: usize,
     iters: usize,
-    /// Median full planning pass with `incremental = false` (fresh matrix
-    /// rebuild each pass, arena reuse on).
+    /// Median full dense planning pass of a planner never handed the
+    /// journal (fresh matrix rebuild each pass, arena reuse on).
     fresh_ns: f64,
     /// Median planning pass consuming a small steady-state fleet delta
     /// (two dirty PMs, one churned VM) through the journal-driven update.
@@ -127,10 +111,11 @@ struct PlanKernelBench {
     dense_rows: usize,
     /// Compressed kernel row count: registered superclasses (`C`).
     compressed_rows: usize,
-    /// Median steady-state pass under the forced dense kernel, fed the
+    /// Median steady-state pass of the dense reference planner, fed the
     /// same per-pass fleet delta as the compressed policy.
     dense_ns: f64,
-    /// Median steady-state pass under the forced class-compressed kernel.
+    /// Median steady-state pass of the production (class-compressed)
+    /// planner.
     compressed_ns: f64,
     speedup_compressed: f64,
     /// Both kernels proposed identical migration sequences.
@@ -142,42 +127,6 @@ struct PlanKernelBench {
     occupied_buckets: usize,
     /// The compressed planner poisoned and fell back to the dense path.
     poisoned: bool,
-    /// Kernel [`PlanKernel::Auto`] selects at this fleet size
-    /// ("dense" or "compressed") and its measured time.
-    chosen_kernel: &'static str,
-    chosen_ns: f64,
-    /// The faster of the two kernels at this shape.
-    winner_kernel: &'static str,
-    winner_ns: f64,
-}
-
-#[derive(Serialize)]
-struct DenseSweepBench {
-    /// Planning rows (powered PMs) in the swept matrix.
-    rows: usize,
-    /// Columns (live VMs) in the swept matrix.
-    cols: usize,
-    iters: usize,
-    /// Median full best-candidate sweep under the scalar reference loop.
-    scalar_ns: f64,
-    /// Median sweep under the lane-chunked screened (SIMD) loop.
-    simd_ns: f64,
-    speedup_simd: f64,
-    /// The screened sweep returned bit-identical candidates to scalar.
-    simd_identical: bool,
-    /// Shard count the auto sizing resolves at this row count (what a
-    /// production pass would fan out to).
-    shards: usize,
-    /// Median sweep sharded across `shards` workers.
-    sharded_ns: f64,
-    speedup_sharded: f64,
-    /// Every tried shard count (both sweeps) returned candidates
-    /// bit-identical to the sequential scalar sweep.
-    shard_counts: Vec<usize>,
-    /// Median screened-sweep time at each entry of `shard_counts` — the
-    /// shard-count sweep EXPERIMENTS.md tabulates.
-    shard_sweep_ns: Vec<f64>,
-    sharded_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -234,10 +183,10 @@ struct ElasticityBench {
     pms: usize,
     days: u64,
     seed: u64,
-    /// Checked-mode wall time of the overbooked+elastic scenario under
-    /// the forced dense kernel.
+    /// Checked-mode wall time of the overbooked+elastic scenario on the
+    /// dense reference planner.
     dense_seconds: f64,
-    /// Same scenario, same seed, forced class-compressed kernel.
+    /// Same scenario, same seed, production planner.
     compressed_seconds: f64,
     total_resizes: u64,
     rejected_resizes: u64,
@@ -268,8 +217,8 @@ struct ScalingBench {
     vm_requests: usize,
     days: u64,
     policy: &'static str,
-    /// Planning kernel [`PlanKernel::Auto`] selects for dynamic rows at
-    /// this fleet size ("dense" or "compressed"); "n/a" for first-fit.
+    /// Planning kernel dynamic rows run on ("compressed", or "dense" when
+    /// the probe pass poisoned); "n/a" for first-fit.
     plan_kernel: &'static str,
     /// Reliability model shaping the fleet ("uniform" or "jittered").
     reliability: &'static str,
@@ -295,15 +244,10 @@ struct PerfReport {
     /// Short git sha of the benched tree (`"unknown"` off-repo).
     git_sha: String,
     host_threads: usize,
-    /// Worker threads a chunked matrix (re)build actually fans out to at
-    /// the largest benchmarked scale (`matrix::parallel_workers`), as
-    /// opposed to `host_threads`, which is just the host's parallelism.
-    matrix_workers: usize,
     matrix_build: Vec<MatrixBuildBench>,
     plan_pass: PlanPassBench,
     incremental_plan: Vec<IncrementalPlanBench>,
     plan_kernel: Vec<PlanKernelBench>,
-    dense_sweep: Vec<DenseSweepBench>,
     end_to_end: EndToEndBench,
     oracle_overhead: OracleOverheadBench,
     elasticity: ElasticityBench,
@@ -345,11 +289,6 @@ struct HistoryMetrics {
 /// beat a fresh rebuild by at least this factor (DESIGN.md §8).
 const DELTA_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Tolerance for the kernel auto-selection check: the selected kernel may
-/// measure at most this much slower than the per-shape winner before the
-/// report (and the CI gate) treat it as a mis-selection rather than noise.
-const KERNEL_SELECTION_TOLERANCE: f64 = 1.3;
-
 /// The acceptance budget for checked mode: the oracle may cost at most
 /// this much end-to-end wall time at paper scale (DESIGN.md §9).
 const ORACLE_OVERHEAD_BUDGET_PERCENT: f64 = 15.0;
@@ -368,12 +307,9 @@ const ELASTIC_1K_BUDGET_SECONDS: f64 = 30.0;
 /// existed (DESIGN.md §12).
 const DYNAMIC_HETERO_10K_BUDGET_SECONDS: f64 = 15.0;
 
-/// Wall-clock budget for the jittered 100k-PM 1-day sharded scaling row —
-/// the fleet size the sharded sweep and bucketed superclasses exist for.
-const SHARDED_100K_BUDGET_SECONDS: f64 = 120.0;
-
-/// Budget for one sharded best-candidate sweep over a 100k-row matrix.
-const SHARDED_SWEEP_100K_BUDGET_SECONDS: f64 = 0.5;
+/// Wall-clock budget for the jittered 100k-PM 1-day scaling row — the
+/// fleet size bucketed superclasses exist for.
+const HETERO_100K_BUDGET_SECONDS: f64 = 120.0;
 
 /// Per-PM reliability jitter of the heterogeneous rows. At ±0.004 every
 /// PM gets a distinct exact class key (C = M, instant poison), while
@@ -383,6 +319,11 @@ const HETERO_SPREAD: f64 = 0.004;
 
 /// Class tolerance the heterogeneous rows plan at (DESIGN.md §12).
 const HETERO_TOLERANCE: f64 = 0.01;
+
+/// The dense planner the dense-path rows measure.
+fn dense_reference() -> DynamicPlacement {
+    DynamicPlacement::dense_reference(DynamicConfig::default())
+}
 
 /// Median wall time of `iters` runs of `f`, in nanoseconds.
 fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -403,11 +344,9 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
         vms: &vms,
         now: dvmp_simcore::SimTime::from_secs(1_000),
     };
-    let mut cfg = DynamicConfig::default();
+    let cfg = DynamicConfig::default();
     let plan = PlanState::from_view(&view, &cfg.min_vm);
 
-    // Sequential reference vs sequential fast: cutoff above the fleet.
-    cfg.par_rows_cutoff = usize::MAX;
     let reference_ns = median_ns(iters, || {
         ProbabilityMatrix::build_with_kernel(
             &plan,
@@ -418,46 +357,19 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
     let fast_ns = median_ns(iters, || {
         ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
     });
-    let seq_ref = ProbabilityMatrix::build_with_kernel(
+    let reference = ProbabilityMatrix::build_with_kernel(
         &plan,
         &EvalContext::new(&cfg),
         MatrixKernel::Reference,
     );
-    let seq_fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-
-    // Parallel chunked fast build: cutoff 1 forces chunking.
-    cfg.par_rows_cutoff = 1;
-    let parallel_ns = median_ns(iters, || {
-        ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-    });
-    let par_fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
+    let fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
 
     let mut bit_identical = true;
-    for row in 0..seq_ref.rows() {
-        for col in 0..seq_ref.cols() {
-            let r = seq_ref.get(row, col).to_bits();
-            bit_identical &=
-                r == seq_fast.get(row, col).to_bits() && r == par_fast.get(row, col).to_bits();
+    for row in 0..reference.rows() {
+        for col in 0..reference.cols() {
+            bit_identical &= reference.get(row, col).to_bits() == fast.get(row, col).to_bits();
         }
     }
-
-    // What auto selection would run at this shape on this host, vs the
-    // kernel that actually measured fastest here.
-    let chosen_kernel = if plan.pms.len() >= DynamicConfig::auto_par_rows_cutoff() {
-        "parallel"
-    } else {
-        "sequential"
-    };
-    let chosen_ns = if chosen_kernel == "parallel" {
-        parallel_ns
-    } else {
-        fast_ns
-    };
-    let (winner_kernel, winner_ns) = if fast_ns <= parallel_ns {
-        ("sequential", fast_ns)
-    } else {
-        ("parallel", parallel_ns)
-    };
 
     MatrixBuildBench {
         pms: plan.pms.len(),
@@ -465,14 +377,8 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
         iters,
         reference_ns,
         fast_ns,
-        parallel_ns,
         speedup_fast_vs_reference: reference_ns / fast_ns,
-        speedup_parallel_vs_reference: reference_ns / parallel_ns,
         bit_identical,
-        chosen_kernel,
-        chosen_ns,
-        winner_kernel,
-        winner_ns,
     }
 }
 
@@ -484,10 +390,10 @@ fn bench_plan_pass(n_vms: u32, iters: usize) -> PlanPassBench {
         now: dvmp_simcore::SimTime::from_secs(1_000),
     };
     let fresh_policy_ns = median_ns(iters, || {
-        let mut policy = DynamicPlacement::paper_default();
+        let mut policy = dense_reference();
         policy.plan_migrations(&view);
     });
-    let mut reused = DynamicPlacement::paper_default();
+    let mut reused = dense_reference();
     reused.plan_migrations(&view); // warm the arena
     let reused_arena_ns = median_ns(iters, || {
         reused.plan_migrations(&view);
@@ -555,9 +461,10 @@ fn steady_state_delta(
     delta
 }
 
-/// Steady-state incremental planning: time full passes of a
-/// forced-rebuild policy against passes of an incremental policy fed a
-/// small per-pass fleet delta through the journal interface.
+/// Steady-state incremental planning: time full passes of a dense
+/// planner never handed the journal (a fresh rebuild every pass) against
+/// passes of one fed a small per-pass fleet delta through the journal
+/// interface.
 fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> IncrementalPlanBench {
     let (dc, vms) = converged_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
@@ -568,25 +475,16 @@ fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> Incremen
         now,
     };
 
-    // Both policies pinned to the dense kernel: this section measures the
+    // Both policies run the dense planner: this section measures the
     // dense journal-driven delta path against dense fresh rebuilds; the
     // compressed kernel gets its own section (`bench_plan_kernel`).
-    let fresh_cfg = DynamicConfig {
-        incremental: false,
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    };
-    let mut fresh = DynamicPlacement::new(fresh_cfg);
+    let mut fresh = dense_reference();
     fresh.plan_migrations(&view); // warm the arenas
     let fresh_ns = median_ns(iters, || {
         fresh.plan_migrations(&view);
     });
 
-    let inc_cfg = DynamicConfig {
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    };
-    let mut inc = DynamicPlacement::new(inc_cfg);
+    let mut inc = dense_reference();
     inc.plan_migrations(&view); // warm: full build + snapshot capture
     let delta_ns = median_ns(iters, || {
         inc.note_fleet_delta(delta.clone());
@@ -610,9 +508,9 @@ fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> Incremen
     }
 }
 
-/// Dense vs class-compressed planning kernel on the same converged fleet,
-/// both fed the same steady-state fleet delta per pass — the apples-to-
-/// apples comparison `PlanKernel::Auto` decides between at runtime.
+/// The dense delta planner vs the production class-compressed planner on
+/// the same converged fleet, both fed the same steady-state fleet delta
+/// per pass.
 fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBench {
     let (dc, vms) = converged_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
@@ -623,20 +521,14 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         now,
     };
 
-    let mut dense = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    });
+    let mut dense = dense_reference();
     dense.plan_migrations(&view); // warm: full build + snapshot capture
     let dense_ns = median_ns(iters, || {
         dense.note_fleet_delta(delta.clone());
         dense.plan_migrations(&view);
     });
 
-    let mut comp = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
-        ..DynamicConfig::default()
-    });
+    let mut comp = DynamicPlacement::paper_default();
     comp.plan_migrations(&view); // warm: compressed rebuild from the view
     let compressed_ns = median_ns(iters, || {
         comp.note_fleet_delta(delta.clone());
@@ -649,24 +541,8 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
     let b = comp.plan_migrations(&view);
     assert!(
         !comp.compressed_poisoned() && comp.compressed_passes() > 0,
-        "forced compressed kernel fell back to dense at {pm_count} PMs"
+        "compressed kernel fell back to dense at {pm_count} PMs"
     );
-
-    let chosen_kernel = if pm_count >= dvmp_placement::COMPRESSED_ROWS_CUTOFF {
-        "compressed"
-    } else {
-        "dense"
-    };
-    let chosen_ns = if chosen_kernel == "compressed" {
-        compressed_ns
-    } else {
-        dense_ns
-    };
-    let (winner_kernel, winner_ns) = if dense_ns <= compressed_ns {
-        ("dense", dense_ns)
-    } else {
-        ("compressed", compressed_ns)
-    };
 
     PlanKernelBench {
         pms: dc.len(),
@@ -681,14 +557,10 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         class_tolerance: 0.0,
         occupied_buckets: comp.compressed_occupied_buckets(),
         poisoned: comp.compressed_poisoned(),
-        chosen_kernel,
-        chosen_ns,
-        winner_kernel,
-        winner_ns,
     }
 }
 
-/// One forced-compressed plan pass over a fleet with no VMs: registers
+/// One production plan pass over a fleet with no VMs: registers
 /// every powered PM's superclass at `tolerance` and reports `(C,
 /// poisoned)` — the fragmentation the bucketing must absorb for this
 /// fleet shape, independent of any workload.
@@ -708,100 +580,11 @@ fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> (usize, bool) {
         now: dvmp_simcore::SimTime::from_secs(0),
     };
     let mut probe = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
         class_tolerance: tolerance,
         ..DynamicConfig::default()
     });
     probe.plan_migrations(&view);
     (probe.compressed_superclasses(), probe.compressed_poisoned())
-}
-
-/// Scalar vs screened (SIMD) vs sharded best-candidate sweeps over the
-/// same probability matrix, asserting every variant returns bit-identical
-/// candidate columns (DESIGN.md §12). `converge` runs the planning-scheme
-/// convergence loop first (realistic steady-state occupancy); the 100k-row
-/// shape skips it — converging 100k PMs under the dense scheme is exactly
-/// the cliff this sweep removes.
-fn bench_dense_sweep(pm_count: usize, n_vms: u32, iters: usize, converge: bool) -> DenseSweepBench {
-    let (dc, vms) = if converge {
-        converged_fixture(pm_count, n_vms)
-    } else {
-        fragmented_fixture_scaled(pm_count, n_vms)
-    };
-    let view = PlacementView {
-        dc: &dc,
-        vms: &vms,
-        now: dvmp_simcore::SimTime::from_secs(1_000),
-    };
-    let cfg = DynamicConfig::default();
-    let plan = PlanState::from_view(&view, &cfg.min_vm);
-    let mut matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-    let rows = matrix.rows();
-    let cols = matrix.cols();
-    let mut best = Vec::new();
-    let bits = |best: &Vec<Option<(usize, f64)>>| -> Vec<Option<(usize, u64)>> {
-        best.iter()
-            .map(|slot| slot.map(|(row, d)| (row, d.to_bits())))
-            .collect()
-    };
-
-    matrix.set_sweep(DenseSweep::Scalar);
-    let scalar_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, 1);
-    });
-    matrix.refill_best_sharded(&plan, &mut best, 1);
-    let scalar_bits = bits(&best);
-
-    matrix.set_sweep(DenseSweep::Simd);
-    let simd_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, 1);
-    });
-    matrix.refill_best_sharded(&plan, &mut best, 1);
-    let simd_identical = bits(&best) == scalar_bits;
-
-    // The shard count a production pass would auto-size to (at least 2,
-    // so small shapes still exercise the merge), timed on the screened
-    // sweep, then both sweeps checked for invariance across shard counts.
-    let shards = cfg.resolve_shards(rows).max(2);
-    let sharded_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, shards);
-    });
-    let mut shard_counts = vec![2, 3, 4, 7, 8, shards];
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    let mut sharded_identical = true;
-    for sweep in [DenseSweep::Scalar, DenseSweep::Simd] {
-        matrix.set_sweep(sweep);
-        for &k in &shard_counts {
-            matrix.refill_best_sharded(&plan, &mut best, k);
-            sharded_identical &= bits(&best) == scalar_bits;
-        }
-    }
-    matrix.set_sweep(DenseSweep::Simd);
-    let shard_sweep_ns: Vec<f64> = shard_counts
-        .iter()
-        .map(|&k| {
-            median_ns(iters, || {
-                matrix.refill_best_sharded(&plan, &mut best, k);
-            })
-        })
-        .collect();
-
-    DenseSweepBench {
-        rows,
-        cols,
-        iters,
-        scalar_ns,
-        simd_ns,
-        speedup_simd: scalar_ns / simd_ns,
-        simd_identical,
-        shards,
-        sharded_ns,
-        speedup_sharded: scalar_ns / sharded_ns,
-        shard_counts,
-        shard_sweep_ns,
-        sharded_identical,
-    }
 }
 
 /// The measured cost of tolerance bucketing: the same jittered week run
@@ -851,9 +634,7 @@ fn bench_end_to_end(seed: u64, days: u64) -> EndToEndBench {
     let scenario = Scenario::paper(seed).with_days(days);
     let run = |kernel: MatrixKernel| {
         let t = Instant::now();
-        let report = scenario.run(Box::new(
-            DynamicPlacement::paper_default().with_kernel(kernel),
-        ));
+        let report = scenario.run(Box::new(dense_reference().with_kernel(kernel)));
         (t.elapsed().as_secs_f64(), report)
     };
     let (fast_seconds, fast_report) = run(MatrixKernel::Fast);
@@ -924,10 +705,8 @@ fn bench_scaling(
         "n/a"
     } else if compressed_poisoned {
         "dense"
-    } else if pm_count >= dvmp_placement::COMPRESSED_ROWS_CUTOFF {
-        "compressed"
     } else {
-        "dense"
+        "compressed"
     };
     ScalingBench {
         pms: pm_count,
@@ -946,22 +725,20 @@ fn bench_scaling(
 }
 
 /// The overbooked+elastic acceptance scenario (DESIGN.md §11): ratios
-/// 150/120 and the moderate elasticity preset, run in checked mode under
-/// both planning kernels. The oracle must stay clean (saturation is SLA
-/// metering, not a violation) and the two kernels must agree bit for bit.
+/// 150/120 and the moderate elasticity preset, run in checked mode on the
+/// dense reference and the production planner. The oracle must stay clean
+/// (saturation is SLA metering, not a violation) and the two planners must
+/// agree bit for bit.
 fn bench_elasticity(pm_count: usize, days: u64, seed: u64) -> ElasticityBench {
-    let run = |kernel: PlanKernel| {
+    let run = |policy: DynamicPlacement| {
         let mut scenario = Scenario::overbooked_elastic(pm_count, seed).with_days(days);
         scenario.sim.checked = true;
         let t = Instant::now();
-        let report = scenario.run(Box::new(DynamicPlacement::new(DynamicConfig {
-            plan_kernel: kernel,
-            ..DynamicConfig::default()
-        })));
+        let report = scenario.run(Box::new(policy));
         (t.elapsed().as_secs_f64(), report)
     };
-    let (dense_seconds, dense) = run(PlanKernel::Dense);
-    let (compressed_seconds, comp) = run(PlanKernel::Compressed);
+    let (dense_seconds, dense) = run(dense_reference());
+    let (compressed_seconds, comp) = run(DynamicPlacement::paper_default());
     let violations = [&dense, &comp]
         .iter()
         .map(|r| {
@@ -1045,14 +822,12 @@ fn main() {
         .map(|&n| {
             let b = bench_matrix_build(n, iters);
             eprintln!(
-                "matrix build {}x{}: reference {:.2} ms, fast {:.2} ms ({:.2}x), parallel {:.2} ms ({:.2}x), bit-identical: {}",
+                "matrix build {}x{}: reference {:.2} ms, fast {:.2} ms ({:.2}x), bit-identical: {}",
                 b.pms,
                 b.vms,
                 b.reference_ns / 1e6,
                 b.fast_ns / 1e6,
                 b.speedup_fast_vs_reference,
-                b.parallel_ns / 1e6,
-                b.speedup_parallel_vs_reference,
                 b.bit_identical
             );
             b
@@ -1100,7 +875,7 @@ fn main() {
         .map(|&(pms, n_vms)| {
             let b = bench_plan_kernel(pms, n_vms, iters);
             eprintln!(
-                "plan kernel {}x{}: dense {:.2} ms ({} rows), compressed {:.2} ms ({} superclasses, {} buckets, poisoned: {}, {:.2}x), auto picks {}, plans identical: {}",
+                "plan kernel {}x{}: dense {:.2} ms ({} rows), compressed {:.2} ms ({} superclasses, {} buckets, poisoned: {}, {:.2}x), plans identical: {}",
                 b.pms,
                 b.vms,
                 b.dense_ns / 1e6,
@@ -1110,37 +885,7 @@ fn main() {
                 b.occupied_buckets,
                 b.poisoned,
                 b.speedup_compressed,
-                b.chosen_kernel,
                 b.plans_identical
-            );
-            b
-        })
-        .collect();
-
-    // Dense-sweep rows: scalar vs screened (SIMD) vs sharded candidate
-    // sweeps. The 100k-row shape is the sharded-fleet operating point; it
-    // skips the convergence loop (see `bench_dense_sweep`).
-    let sweep_shapes: &[(usize, u32, usize, bool)] = if smoke {
-        &[(100, 500, 5, true)]
-    } else {
-        &[(1_000, 5_000, 11, true), (100_000, 500, 5, false)]
-    };
-    let dense_sweep: Vec<DenseSweepBench> = sweep_shapes
-        .iter()
-        .map(|&(pms, n_vms, sweep_iters, converge)| {
-            let b = bench_dense_sweep(pms, n_vms, sweep_iters, converge);
-            eprintln!(
-                "dense sweep {}x{}: scalar {:.2} ms, simd {:.2} ms ({:.2}x, identical: {}), {} shards {:.2} ms ({:.2}x, shard-invariant: {})",
-                b.rows,
-                b.cols,
-                b.scalar_ns / 1e6,
-                b.simd_ns / 1e6,
-                b.speedup_simd,
-                b.simd_identical,
-                b.shards,
-                b.sharded_ns / 1e6,
-                b.speedup_sharded,
-                b.sharded_identical
             );
             b
         })
@@ -1214,9 +959,8 @@ fn main() {
     };
     // Heterogeneous rows: jittered reliability at a spread the tolerance
     // bucketing collapses back to hardware superclasses. The 10k-PM week
-    // is the DESIGN.md §12 acceptance row; the 100k-PM day is the
-    // sharded-fleet operating point. Smoke keeps one row just above the
-    // compressed Auto cutoff so the kernel path is the full-scale one.
+    // is the DESIGN.md §12 acceptance row; the 100k-PM day is the largest
+    // fleet the bucketed superclasses serve. Smoke keeps one 600-PM row.
     let hetero_rows: &[(usize, u64)] = if smoke {
         &[(600, 1)]
     } else {
@@ -1286,19 +1030,16 @@ fn main() {
         profile.profile.phases.len()
     );
 
-    let max_rows = matrix_build.iter().map(|b| b.pms).max().unwrap_or(2);
     let report = PerfReport {
-        schema: "dvmp/perf-report/v8",
+        schema: "dvmp/perf-report/v9",
         smoke,
         seed,
         git_sha: dvmp_obs::git_sha().to_string(),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        matrix_workers: dvmp_placement::matrix::parallel_workers(max_rows),
         matrix_build,
         plan_pass,
         incremental_plan,
         plan_kernel,
-        dense_sweep,
         end_to_end,
         oracle_overhead,
         elasticity,
@@ -1327,25 +1068,6 @@ fn main() {
         eprintln!("FAIL: compressed kernel diverged from the dense plans");
         healthy = false;
     }
-    // The DESIGN.md §12 sweep contract: the screened (SIMD) sweep and the
-    // sharded sweep are bit-identical to the scalar reference at every
-    // shard count, on every benchmarked shape.
-    for b in &report.dense_sweep {
-        if !b.simd_identical {
-            eprintln!(
-                "FAIL: screened dense sweep diverged from the scalar sweep at {}x{}",
-                b.rows, b.cols
-            );
-            healthy = false;
-        }
-        if !b.sharded_identical {
-            eprintln!(
-                "FAIL: sharded dense sweep is not shard-count-invariant at {}x{}",
-                b.rows, b.cols
-            );
-            healthy = false;
-        }
-    }
     // Tolerance bucketing must rescue the jittered fleet: exact keys
     // fragment past the registry cap (that poisoning is the point of the
     // row), bucketed keys must not.
@@ -1372,39 +1094,6 @@ fn main() {
             eprintln!(
                 "FAIL: jittered {}-PM fleet poisoned at t={} (C={})",
                 b.pms, b.class_tolerance, b.superclasses
-            );
-            healthy = false;
-        }
-    }
-    // Kernel selection is only gated at and above the Auto cutoff: below
-    // it both kernels are sub-millisecond, the choice is immaterial, and
-    // per-run noise at that scale must not fail CI.
-    for b in &report.plan_kernel {
-        if b.pms >= dvmp_placement::COMPRESSED_ROWS_CUTOFF
-            && b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns
-        {
-            eprintln!(
-                "FAIL: auto-selected {} plan kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
-                b.chosen_kernel,
-                b.pms,
-                b.vms,
-                b.chosen_ns / 1e6,
-                b.winner_kernel,
-                b.winner_ns / 1e6
-            );
-            healthy = false;
-        }
-    }
-    for b in &report.matrix_build {
-        if b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns {
-            eprintln!(
-                "FAIL: auto-selected {} kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
-                b.chosen_kernel,
-                b.pms,
-                b.vms,
-                b.chosen_ns / 1e6,
-                b.winner_kernel,
-                b.winner_ns / 1e6
             );
             healthy = false;
         }
@@ -1509,8 +1198,8 @@ fn main() {
             Some(_) => {}
         }
         // Heterogeneous acceptance rows (DESIGN.md §12): the jittered
-        // 10k-PM week on the bucketed compressed kernel, and the jittered
-        // 100k-PM day the sharded path exists for.
+        // 10k-PM week and the jittered 100k-PM day on the bucketed
+        // compressed kernel.
         match report
             .scaling
             .iter()
@@ -1538,25 +1227,10 @@ fn main() {
                 eprintln!("FAIL: full run is missing the jittered 100k-PM scaling row");
                 healthy = false;
             }
-            Some(big) if big.wall_seconds > SHARDED_100K_BUDGET_SECONDS => {
+            Some(big) if big.wall_seconds > HETERO_100K_BUDGET_SECONDS => {
                 eprintln!(
-                    "FAIL: jittered 100k-PM day took {:.1} s, over the {SHARDED_100K_BUDGET_SECONDS} s budget",
+                    "FAIL: jittered 100k-PM day took {:.1} s, over the {HETERO_100K_BUDGET_SECONDS} s budget",
                     big.wall_seconds
-                );
-                healthy = false;
-            }
-            Some(_) => {}
-        }
-        match report.dense_sweep.iter().find(|b| b.rows >= 100_000) {
-            None => {
-                eprintln!("FAIL: full run is missing the 100k-row dense-sweep shape");
-                healthy = false;
-            }
-            Some(big) if big.sharded_ns > SHARDED_SWEEP_100K_BUDGET_SECONDS * 1e9 => {
-                eprintln!(
-                    "FAIL: sharded 100k-row sweep took {:.0} ms, over the {:.0} ms budget",
-                    big.sharded_ns / 1e6,
-                    SHARDED_SWEEP_100K_BUDGET_SECONDS * 1e3
                 );
                 healthy = false;
             }

@@ -12,8 +12,6 @@ pub struct RunOptions {
     pub json: bool,
     /// Audit every event with the invariant oracle (DESIGN.md §9).
     pub checked: bool,
-    /// Rebuild the dynamic policy's matrix from scratch every interval.
-    pub full_replan: bool,
     /// Arm the obs layer and append per-run counters + phase profile.
     pub obs_summary: bool,
     /// Write a chrome://tracing JSON of every timed span to this path.
@@ -26,11 +24,7 @@ pub struct RunOptions {
 /// `run <spec.json>` — run the spec's policy and summarize. With
 /// `checked`, the release-grade invariant oracle audits every event and
 /// the summary (or JSON report) carries its verdict; a violating run is
-/// an error so scripts fail loudly. With `full_replan`, the dynamic
-/// policy rebuilds its probability matrix from scratch every planning
-/// interval instead of patching the persistent one — same plans bit for
-/// bit, only slower (the A/B lever for the incremental planner). With
-/// `obs_summary`, the flight-recorder layer (DESIGN.md §10) is armed and
+/// an error so scripts fail loudly. With `obs_summary`, the flight-recorder layer (DESIGN.md §10) is armed and
 /// the output gains per-run counters and the phase profile; `trace_out`
 /// additionally captures every timed span and writes a chrome://tracing
 /// JSON file (written even when a checked run fails, so CI can attach
@@ -47,7 +41,7 @@ pub fn run(spec_text: &str, opts: &RunOptions) -> Result<String, String> {
     if opts.trace_out.is_some() {
         dvmp_obs::set_span_capture(true);
     }
-    let policy = spec.policy.build(spec.seed, opts.full_replan)?;
+    let policy = spec.policy.build(spec.seed)?;
     let started = std::time::Instant::now();
     let mut report = scenario.run(policy);
     // Wall clock lives here, not in the library `execute()`: two
@@ -137,6 +131,60 @@ const RUN_REPORT_THRESHOLDS: &[(&str, f64)] = &[
     ("qos.mean_wait_secs", 0.50),
 ];
 
+/// Why `compare <a.json> <b.json>` fails.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CompareError {
+    /// A file is not JSON.
+    Parse {
+        /// `"first"` or `"second"` report.
+        which: &'static str,
+        /// The parser's message.
+        message: String,
+    },
+    /// A file carries neither a top-level `schema` (perf and overhead
+    /// reports) nor a `meta` block (RunReports), so it is not a report
+    /// this command knows how to diff.
+    NotAReport {
+        /// `"first"` or `"second"` report.
+        which: &'static str,
+    },
+    /// The two reports share no numeric metric: nothing was compared.
+    NoSharedMetrics,
+    /// Metrics moved beyond their thresholds.
+    Regressed {
+        /// The rendered comparison.
+        table: String,
+        /// How many metrics were flagged.
+        flagged: usize,
+    },
+}
+
+impl std::fmt::Display for CompareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CompareError::Parse { which, message } => write!(f, "{which} report: {message}"),
+            CompareError::NotAReport { which } => write!(
+                f,
+                "{which} report has neither a `schema` nor a `meta` field; not a dvmp report"
+            ),
+            CompareError::NoSharedMetrics => {
+                f.write_str("the two reports share no numeric metric; nothing to compare")
+            }
+            CompareError::Regressed { table, flagged } => {
+                write!(f, "{table}\n{flagged} metric(s) changed beyond threshold")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CompareError {}
+
+impl From<CompareError> for String {
+    fn from(e: CompareError) -> Self {
+        e.to_string()
+    }
+}
+
 /// One diffed metric in a `compare <a> <b>` run.
 #[derive(Debug, Clone, serde::Serialize)]
 struct MetricDiff {
@@ -207,12 +255,34 @@ fn rel_change(a: f64, b: f64) -> f64 {
 /// reports) is diffed generically over shared numeric leaves — sorted by
 /// relative change, informational only, except that a boolean health gate
 /// flipping `true → false` between `a` and `b` flags the comparison.
-pub fn compare_reports(a_text: &str, b_text: &str, json_output: bool) -> Result<String, String> {
-    let a = serde_json::parse_str(a_text).map_err(|e| format!("first report: {e}"))?;
-    let b = serde_json::parse_str(b_text).map_err(|e| format!("second report: {e}"))?;
+///
+/// A comparison never passes on nothing: each file must be a dvmp report
+/// (a top-level `schema` or a `meta` block), and the two must share at
+/// least one numeric metric.
+pub fn compare_reports(
+    a_text: &str,
+    b_text: &str,
+    json_output: bool,
+) -> Result<String, CompareError> {
+    let parse = |text: &str, which: &'static str| {
+        let v = serde_json::parse_str(text).map_err(|e| CompareError::Parse {
+            which,
+            message: e.to_string(),
+        })?;
+        let is_report =
+            v.get("schema").is_some() || v.get("meta").is_some_and(|m| m.as_map().is_some());
+        if is_report {
+            Ok(v)
+        } else {
+            Err(CompareError::NotAReport { which })
+        }
+    };
+    let a = parse(a_text, "first")?;
+    let b = parse(b_text, "second")?;
     let run_reports = a.get("total_energy_kwh").is_some() && b.get("total_energy_kwh").is_some();
 
     let mut diffs: Vec<MetricDiff> = Vec::new();
+    let shared_metrics;
     if run_reports {
         for &(metric, threshold) in RUN_REPORT_THRESHOLDS {
             let (Some(va), Some(vb)) = (json_number(&a, metric), json_number(&b, metric)) else {
@@ -228,6 +298,7 @@ pub fn compare_reports(a_text: &str, b_text: &str, json_output: bool) -> Result<
                 flagged: rel.abs() > threshold,
             });
         }
+        shared_metrics = diffs.len();
     } else {
         let mut la = Vec::new();
         let mut lb = Vec::new();
@@ -235,19 +306,22 @@ pub fn compare_reports(a_text: &str, b_text: &str, json_output: bool) -> Result<
         numeric_leaves(&b, "", &mut lb);
         let bmap: std::collections::BTreeMap<&str, f64> =
             lb.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        for (k, va) in &la {
-            if let Some(&vb) = bmap.get(k.as_str()) {
-                let rel = rel_change(*va, vb);
-                if rel != 0.0 {
-                    diffs.push(MetricDiff {
-                        metric: k.clone(),
-                        a: *va,
-                        b: vb,
-                        rel_change: rel,
-                        threshold: f64::INFINITY,
-                        flagged: false,
-                    });
-                }
+        let shared: Vec<(&String, f64, f64)> = la
+            .iter()
+            .filter_map(|(k, va)| bmap.get(k.as_str()).map(|&vb| (k, *va, vb)))
+            .collect();
+        shared_metrics = shared.len();
+        for (k, va, vb) in shared {
+            let rel = rel_change(va, vb);
+            if rel != 0.0 {
+                diffs.push(MetricDiff {
+                    metric: k.clone(),
+                    a: va,
+                    b: vb,
+                    rel_change: rel,
+                    threshold: f64::INFINITY,
+                    flagged: false,
+                });
             }
         }
         diffs.sort_by(|x, y| {
@@ -275,9 +349,12 @@ pub fn compare_reports(a_text: &str, b_text: &str, json_output: bool) -> Result<
         }
     }
 
-    let flagged: Vec<&MetricDiff> = diffs.iter().filter(|d| d.flagged).collect();
+    if shared_metrics == 0 {
+        return Err(CompareError::NoSharedMetrics);
+    }
+    let flagged = diffs.iter().filter(|d| d.flagged).count();
     let body = if json_output {
-        serde_json::to_string_pretty(&diffs).map_err(|e| e.to_string())?
+        serde_json::to_string_pretty(&diffs).expect("metric diffs serialize")
     } else {
         let mut out = String::new();
         let _ = writeln!(
@@ -309,13 +386,13 @@ pub fn compare_reports(a_text: &str, b_text: &str, json_output: bool) -> Result<
         }
         out
     };
-    if flagged.is_empty() {
+    if flagged == 0 {
         Ok(body)
     } else {
-        Err(format!(
-            "{body}\n{} metric(s) changed beyond threshold",
-            flagged.len()
-        ))
+        Err(CompareError::Regressed {
+            table: body,
+            flagged,
+        })
     }
 }
 
@@ -355,7 +432,7 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
         return Err("--seeds must be at least 1".into());
     }
     let base = ScenarioSpec::from_json(spec_text)?;
-    base.policy.build(base.seed, false)?; // validate the policy spec up front
+    base.policy.build(base.seed)?; // validate the policy spec up front
     let mut scenarios = Vec::with_capacity(seeds);
     for i in 0..seeds as u64 {
         let mut spec = base.clone();
@@ -364,11 +441,7 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
     }
     let policy = PolicyFactory::new("spec-policy", {
         let spec = base.clone();
-        move || {
-            spec.policy
-                .build(spec.seed, false)
-                .expect("validated above")
-        }
+        move || spec.policy.build(spec.seed).expect("validated above")
     });
     let swept = sweep_scenarios(&scenarios, &[policy]);
     let reports: Vec<RunReport> = swept.into_iter().flatten().collect();
@@ -511,16 +584,11 @@ pub fn help() -> String {
 dvmp-cli — dynamic VM placement experiments (ICPP 2014 reproduction)
 
 USAGE:
-  dvmp-cli run <spec.json> [--json] [--checked] [--full-replan]
-                           [--obs-summary] [--trace-out <file>]
-                           [--metrics-out <file>]
+  dvmp-cli run <spec.json> [--json] [--checked] [--obs-summary]
+                           [--trace-out <file>] [--metrics-out <file>]
                                          run the spec's policy, print summary;
                                          --checked audits every event with the
                                          invariant oracle (DESIGN.md §9);
-                                         --full-replan rebuilds the dynamic
-                                         policy's matrix from scratch every
-                                         interval (same plans, bit for bit;
-                                         see DESIGN.md §8);
                                          --obs-summary arms the flight-recorder
                                          layer and appends per-run counters and
                                          the phase profile (DESIGN.md §10);
@@ -539,7 +607,9 @@ USAGE:
                                          a curated per-metric threshold table
                                          (exit 1 when a metric moves beyond its
                                          threshold), any other JSON reports
-                                         over shared numeric leaves
+                                         over shared numeric leaves; exit 1
+                                         when a file is not a dvmp report or
+                                         the two share no numeric metric
   dvmp-cli sweep <spec.json> [--seeds N] [--json]
                                          re-run the spec's policy under N
                                          seeds in parallel (default 5) and
@@ -565,25 +635,24 @@ mod tests {
         "seed": 42
     }"#;
 
-    fn opts(json: bool, checked: bool, full_replan: bool) -> RunOptions {
+    fn opts(json: bool, checked: bool) -> RunOptions {
         RunOptions {
             json,
             checked,
-            full_replan,
             ..RunOptions::default()
         }
     }
 
     #[test]
     fn run_produces_summary() {
-        let out = run(SPEC, &opts(false, false, false)).unwrap();
+        let out = run(SPEC, &opts(false, false)).unwrap();
         assert!(out.contains("first-fit"), "{out}");
         assert!(out.contains("energy"), "{out}");
     }
 
     #[test]
     fn run_json_is_parseable() {
-        let out = run(SPEC, &opts(true, false, false)).unwrap();
+        let out = run(SPEC, &opts(true, false)).unwrap();
         let report: dvmp_metrics::RunReport = serde_json::from_str(&out).unwrap();
         assert_eq!(report.policy, "first-fit");
         assert!(report.total_energy_kwh > 0.0);
@@ -592,10 +661,10 @@ mod tests {
 
     #[test]
     fn checked_run_reports_a_clean_oracle() {
-        let out = run(SPEC, &opts(false, true, false)).unwrap();
+        let out = run(SPEC, &opts(false, true)).unwrap();
         assert!(out.contains("oracle"), "{out}");
 
-        let json = run(SPEC, &opts(true, true, false)).unwrap();
+        let json = run(SPEC, &opts(true, true)).unwrap();
         let report: dvmp_metrics::RunReport = serde_json::from_str(&json).unwrap();
         let oracle = report.oracle.expect("checked run attaches a summary");
         assert!(oracle.is_clean(), "{}", oracle.render());
@@ -604,13 +673,31 @@ mod tests {
 
     #[test]
     fn full_replan_run_is_bit_identical() {
-        // The incremental planner must be invisible in the results: a
-        // dynamic-policy run with cross-interval reuse disabled produces
-        // the exact same report — up to the wall clock, the one field that
-        // measures the host rather than the simulation.
+        // The planner's journal-driven state must be invisible in the
+        // results: the dense reference planner kept from the fleet-delta
+        // journal, so it rebuilds everything every interval, produces the
+        // exact report `run` prints — up to the wall clock, the one field
+        // that measures the host rather than the simulation.
+        struct FullReplan(DynamicPlacement);
+        impl PlacementPolicy for FullReplan {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
+                self.0.place(view, vm)
+            }
+            fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
+                self.0.plan_migrations(view)
+            }
+            fn is_dynamic(&self) -> bool {
+                true
+            }
+        }
         let dyn_spec = SPEC.replace("first-fit", "dynamic");
-        let fast = run(&dyn_spec, &opts(true, false, false)).unwrap();
-        let fresh = run(&dyn_spec, &opts(true, false, true)).unwrap();
+        let fast = run(&dyn_spec, &opts(true, false)).unwrap();
+        let scenario = ScenarioSpec::from_json(&dyn_spec).unwrap().build().unwrap();
+        let reference = DynamicPlacement::dense_reference(DynamicConfig::default());
+        let fresh = serde_json::to_string(&scenario.run(Box::new(FullReplan(reference)))).unwrap();
         let scrub = |text: &str| {
             let mut v = serde_json::parse_str(text).unwrap();
             set_field(&mut v, &["meta", "wall_seconds"], serde::Value::F64(0.0));
@@ -740,7 +827,7 @@ mod tests {
 
     #[test]
     fn compare_reports_self_comparison_passes() {
-        let a = run(SPEC, &opts(true, false, false)).unwrap();
+        let a = run(SPEC, &opts(true, false)).unwrap();
         let out = compare_reports(&a, &a, false).expect("identical reports pass");
         assert!(out.contains("total_energy_kwh"), "{out}");
         assert!(!out.contains("FLAGGED"), "{out}");
@@ -748,12 +835,14 @@ mod tests {
 
     #[test]
     fn compare_reports_flags_injected_regression() {
-        let a = run(SPEC, &opts(true, false, false)).unwrap();
+        let a = run(SPEC, &opts(true, false)).unwrap();
         let mut v = serde_json::parse_str(&a).unwrap();
         let kwh = value_as_f64(v.get("total_energy_kwh").unwrap()).unwrap();
         set_field(&mut v, &["total_energy_kwh"], serde::Value::F64(kwh * 1.2));
         let b = serde_json::to_string(&v).unwrap();
-        let err = compare_reports(&a, &b, false).expect_err("20% energy jump must flag");
+        let err = compare_reports(&a, &b, false)
+            .expect_err("20% energy jump must flag")
+            .to_string();
         assert!(err.contains("FLAGGED"), "{err}");
         assert!(err.contains("total_energy_kwh"), "{err}");
         assert!(err.contains("+20.0%"), "{err}");
@@ -767,7 +856,49 @@ mod tests {
         assert!(out.contains("timing.ns"), "{out}");
         let c = r#"{"schema":"x","healthy":false,"timing":{"ns":100.0}}"#;
         let err = compare_reports(a, c, false).expect_err("gate flip must flag");
-        assert!(err.contains("healthy"), "{err}");
+        assert!(err.to_string().contains("healthy"), "{err}");
+    }
+
+    #[test]
+    fn compare_reports_rejects_a_first_file_that_is_no_report() {
+        let real = run(SPEC, &opts(true, false)).unwrap();
+        for junk in ["{}", r#"{"total_energy_kwh": 1.0}"#, r#"{"meta": 3}"#] {
+            assert_eq!(
+                compare_reports(junk, &real, false),
+                Err(CompareError::NotAReport { which: "first" }),
+                "{junk}"
+            );
+        }
+    }
+
+    #[test]
+    fn compare_reports_rejects_a_second_file_that_is_no_report() {
+        let real = run(SPEC, &opts(true, false)).unwrap();
+        assert_eq!(
+            compare_reports(&real, "{}", false),
+            Err(CompareError::NotAReport { which: "second" })
+        );
+        assert_eq!(
+            compare_reports("{}", "{}", false),
+            Err(CompareError::NotAReport { which: "first" })
+        );
+    }
+
+    #[test]
+    fn compare_reports_rejects_reports_sharing_no_metric() {
+        let a = r#"{"schema":"x","timing":{"ns":100.0}}"#;
+        let b = r#"{"schema":"x","rows":{"count":3}}"#;
+        assert_eq!(
+            compare_reports(a, b, true),
+            Err(CompareError::NoSharedMetrics)
+        );
+        assert_eq!(
+            compare_reports(r#"{"schema":"x"}"#, r#"{"schema":"x"}"#, false),
+            Err(CompareError::NoSharedMetrics)
+        );
+        // A real report compared with itself stays clean.
+        let real = run(SPEC, &opts(true, false)).unwrap();
+        assert!(compare_reports(&real, &real, true).is_ok());
     }
 
     #[test]
@@ -828,7 +959,6 @@ mod tests {
             "workload",
             "export-swf",
             "--checked",
-            "--full-replan",
             "--obs-summary",
             "--trace-out",
             "--metrics-out",

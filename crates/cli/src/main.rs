@@ -8,7 +8,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let checked = args.iter().any(|a| a == "--checked");
-    let full_replan = args.iter().any(|a| a == "--full-replan");
     let obs_summary = args.iter().any(|a| a == "--obs-summary");
     let trace_out_idx = args.iter().position(|a| a == "--trace-out");
     let trace_out = trace_out_idx.and_then(|i| args.get(i + 1)).cloned();
@@ -44,7 +43,6 @@ fn main() -> ExitCode {
                     &commands::RunOptions {
                         json,
                         checked,
-                        full_replan,
                         obs_summary,
                         trace_out: trace_out.map(Into::into),
                         metrics_out: metrics_out.map(Into::into),
@@ -56,7 +54,10 @@ fn main() -> ExitCode {
         ["compare", a, b, ..] => {
             let read =
                 |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-            read(a).and_then(|ta| read(b).and_then(|tb| commands::compare_reports(&ta, &tb, json)))
+            read(a).and_then(|ta| {
+                read(b)
+                    .and_then(|tb| commands::compare_reports(&ta, &tb, json).map_err(String::from))
+            })
         }
         ["compare", path] => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))

@@ -22,6 +22,75 @@ use dvmp::prelude::*;
 use dvmp_cluster::pm::PmClass;
 use dvmp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Why a [`ScenarioSpec`] does not build into a runnable scenario.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpecError {
+    /// The fleet entries add up to zero machines.
+    EmptyFleet,
+    /// A fleet class is smaller than the minimum VM request `R^MIN` in
+    /// one dimension, so it could never host a VM.
+    CapacityBelowMinVm {
+        /// The class name.
+        class: String,
+        /// The resource dimension (0 = cores, 1 = memory MiB).
+        dimension: usize,
+        /// The class capacity in that dimension.
+        capacity: u64,
+        /// `R^MIN` in that dimension.
+        min_vm: u64,
+    },
+    /// `days` puts the horizon past the end of the simulation clock.
+    HorizonOverflow {
+        /// The requested day count.
+        days: u64,
+    },
+    /// Any other invalid field, described.
+    Invalid(String),
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::EmptyFleet => f.write_str("fleet has no machines (every count is 0)"),
+            SpecError::CapacityBelowMinVm {
+                class,
+                dimension,
+                capacity,
+                min_vm,
+            } => write!(
+                f,
+                "fleet class {class:?}: capacity {capacity} in dimension {dimension} is below \
+                 the minimum VM request {min_vm}"
+            ),
+            SpecError::HorizonOverflow { days } => {
+                write!(f, "workload days {days} overflow the simulation clock")
+            }
+            SpecError::Invalid(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
+impl From<String> for SpecError {
+    fn from(msg: String) -> Self {
+        SpecError::Invalid(msg)
+    }
+}
+
+impl From<&str> for SpecError {
+    fn from(msg: &str) -> Self {
+        SpecError::Invalid(msg.to_string())
+    }
+}
+
+impl From<SpecError> for String {
+    fn from(e: SpecError) -> Self {
+        e.to_string()
+    }
+}
 
 /// One fleet entry: a hardware-class preset or explicit parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -146,12 +215,6 @@ pub struct PolicySpec {
     /// `MIG_round` (dynamic only).
     #[serde(default)]
     pub mig_round: Option<u32>,
-    /// Planning kernel (dynamic only): `"auto"` (default, pick by fleet
-    /// size), `"dense"` (the M×N probability matrix), or `"compressed"`
-    /// (the class-compressed sparse planner). Both produce bit-identical
-    /// plans; this is an A/B lever, like `--full-replan`.
-    #[serde(default)]
-    pub plan_kernel: Option<String>,
     /// Capacity basis for planning feasibility (dynamic only):
     /// `"virtual"` (default — the overbooked admission bound) or
     /// `"physical"` (the overbooking-blind ablation). Identical on
@@ -165,15 +228,6 @@ pub struct PolicySpec {
     /// exact keys.
     #[serde(default)]
     pub class_tolerance: Option<f64>,
-    /// Planning shard-count override (dynamic only): omit or `0` to size
-    /// shards automatically from the fleet.
-    #[serde(default)]
-    pub plan_shards: Option<usize>,
-    /// Dense bulk-sweep implementation (dynamic only): `"auto"`
-    /// (default), `"scalar"`, or `"simd"`. Bit-identical plans either
-    /// way; an A/B lever like `plan_kernel`.
-    #[serde(default)]
-    pub dense_sweep: Option<String>,
 }
 
 impl Default for PolicySpec {
@@ -183,22 +237,15 @@ impl Default for PolicySpec {
             kind: "dynamic".into(),
             mig_threshold: None,
             mig_round: None,
-            plan_kernel: None,
             capacity_basis: None,
             class_tolerance: None,
-            plan_shards: None,
-            dense_sweep: None,
         }
     }
 }
 
 impl PolicySpec {
-    /// Builds the policy. `seed` feeds the random baseline. `full_replan`
-    /// disables cross-interval matrix reuse on the dynamic policy (a
-    /// no-op for the baselines) — the escape hatch for A/B-ing the
-    /// incremental planner against the fresh-rebuild reference, whose
-    /// plans it matches bit for bit.
-    pub fn build(&self, seed: u64, full_replan: bool) -> Result<Box<dyn PlacementPolicy>, String> {
+    /// Builds the policy. `seed` feeds the random baseline.
+    pub fn build(&self, seed: u64) -> Result<Box<dyn PlacementPolicy>, String> {
         match self.kind.as_str() {
             "dynamic" => {
                 let mut cfg = DynamicConfig::default();
@@ -207,14 +254,6 @@ impl PolicySpec {
                 }
                 if let Some(r) = self.mig_round {
                     cfg.mig_round = r;
-                }
-                if let Some(k) = &self.plan_kernel {
-                    cfg.plan_kernel = match k.as_str() {
-                        "auto" => PlanKernel::Auto,
-                        "dense" => PlanKernel::Dense,
-                        "compressed" => PlanKernel::Compressed,
-                        other => return Err(format!("unknown plan kernel {other:?}")),
-                    };
                 }
                 if let Some(b) = &self.capacity_basis {
                     cfg.capacity_basis = match b.as_str() {
@@ -226,18 +265,6 @@ impl PolicySpec {
                 if let Some(t) = self.class_tolerance {
                     cfg.class_tolerance = t;
                 }
-                if let Some(s) = self.plan_shards {
-                    cfg.plan_shards = s;
-                }
-                if let Some(sweep) = &self.dense_sweep {
-                    cfg.dense_sweep = match sweep.as_str() {
-                        "auto" => DenseSweep::Auto,
-                        "scalar" => DenseSweep::Scalar,
-                        "simd" => DenseSweep::Simd,
-                        other => return Err(format!("unknown dense sweep {other:?}")),
-                    };
-                }
-                cfg.incremental = !full_replan;
                 cfg.validate()?;
                 Ok(Box::new(DynamicPlacement::new(cfg)))
             }
@@ -289,20 +316,39 @@ impl ScenarioSpec {
     }
 
     /// Builds the runnable scenario.
-    pub fn build(&self) -> Result<Scenario, String> {
+    pub fn build(&self) -> Result<Scenario, SpecError> {
+        let days = self.workload.days;
+        if SimTime::checked_from_days(days).is_none() {
+            return Err(SpecError::HorizonOverflow { days });
+        }
         let fleet = if self.fleet.is_empty() {
             paper_fleet()
         } else {
+            if self.fleet.iter().all(|entry| entry.count == 0) {
+                return Err(SpecError::EmptyFleet);
+            }
+            let min_vm = DynamicConfig::default().min_vm;
             let mut b = FleetBuilder::new();
             for entry in &self.fleet {
                 // `Pm::new` asserts this range; reject it here instead.
                 if !(entry.reliability > 0.0 && entry.reliability <= 1.0) {
-                    return Err(format!(
+                    return Err(SpecError::Invalid(format!(
                         "fleet entry {:?}: reliability {} is outside (0, 1]",
                         entry.preset, entry.reliability
-                    ));
+                    )));
                 }
-                b = b.add_class(entry.class()?, entry.count, entry.reliability);
+                let class = entry.class()?;
+                if let Some(dimension) =
+                    (0..min_vm.k()).find(|&d| class.capacity.get(d) < min_vm.get(d))
+                {
+                    return Err(SpecError::CapacityBelowMinVm {
+                        class: class.name,
+                        dimension,
+                        capacity: class.capacity.get(dimension),
+                        min_vm: min_vm.get(dimension),
+                    });
+                }
+                b = b.add_class(class, entry.count, entry.reliability);
             }
             b.build()
         };
@@ -328,19 +374,19 @@ impl ScenarioSpec {
                 Trace::new(jobs)
                     .filter_usable()
                     .filter_min_memory(self.workload.min_memory_mib)
-                    .extract_window(SimTime::ZERO, SimDuration::from_days(self.workload.days))
+                    .extract_window(SimTime::ZERO, SimDuration::from_days(days))
             }
-            other => return Err(format!("unknown workload profile {other:?}")),
+            other => return Err(format!("unknown workload profile {other:?}").into()),
         };
 
         let mut sim = SimConfig::default();
         sim.seed = self.seed;
-        sim.horizon = SimTime::from_days(self.workload.days);
+        sim.horizon = SimTime::from_days(days);
         if self.all_machines_on {
             sim.spare = None;
         }
-        let mut scenario = Scenario::from_trace(self.name.clone(), fleet, &trace, sim)
-            .with_days(self.workload.days);
+        let mut scenario =
+            Scenario::from_trace(self.name.clone(), fleet, &trace, sim).with_days(days);
         if let Some(overbook) = &self.overbook {
             scenario = scenario.with_overbooking(overbook.ratios()?);
         }
@@ -349,7 +395,7 @@ impl ScenarioSpec {
                 "none" => ElasticityProfile::none(),
                 "moderate" => ElasticityProfile::moderate(),
                 "aggressive" => ElasticityProfile::aggressive(),
-                other => return Err(format!("unknown elasticity preset {other:?}")),
+                other => return Err(format!("unknown elasticity preset {other:?}").into()),
             };
             scenario = scenario.with_elasticity(&profile);
         }
@@ -375,7 +421,7 @@ mod tests {
         assert_eq!(scenario.fleet().len(), 100);
         assert_eq!(scenario.days(), 1);
         assert!(!scenario.requests().is_empty());
-        let policy = spec.policy.build(spec.seed, false).unwrap();
+        let policy = spec.policy.build(spec.seed).unwrap();
         assert_eq!(policy.name(), "first-fit");
     }
 
@@ -401,7 +447,7 @@ mod tests {
             scenario.fleet().classes()[0].capacity,
             ResourceVector::cpu_mem(16, 32_768)
         );
-        let policy = spec.policy.build(7, false).unwrap();
+        let policy = spec.policy.build(7).unwrap();
         assert_eq!(policy.name(), "dynamic");
     }
 
@@ -429,13 +475,13 @@ mod tests {
             active_w: None,
             idle_w: None,
         });
-        assert!(spec.build().unwrap_err().contains("warp-core"));
+        assert!(spec.build().unwrap_err().to_string().contains("warp-core"));
 
         let bad_policy = PolicySpec {
             kind: "oracle".into(),
             ..PolicySpec::default()
         };
-        match bad_policy.build(1, false) {
+        match bad_policy.build(1) {
             Err(e) => assert!(e.contains("oracle")),
             Ok(_) => panic!("unknown policy must error"),
         }
@@ -455,7 +501,7 @@ mod tests {
                 active_w: None,
                 idle_w: None,
             });
-            let err = spec.build().map(|_| ()).unwrap_err();
+            let err = spec.build().map(|_| ()).unwrap_err().to_string();
             assert!(err.contains("reliability"), "{bad}: {err}");
         }
         // The same values written in spec JSON (NaN has no JSON form).
@@ -495,7 +541,7 @@ mod tests {
             "policy": { "kind": "first-fit" }
         }"#;
         let spec = ScenarioSpec::from_json(text).unwrap();
-        assert!(spec.build().unwrap_err().contains("cores"));
+        assert!(spec.build().unwrap_err().to_string().contains("cores"));
     }
 
     #[test]
@@ -504,26 +550,91 @@ mod tests {
             mig_threshold: Some(0.2),
             ..PolicySpec::default()
         };
-        assert!(spec.build(1, false).is_err());
+        assert!(spec.build(1).is_err());
     }
 
     #[test]
-    fn plan_kernel_knob_selects_kernels_and_rejects_typos() {
-        for kernel in ["auto", "dense", "compressed"] {
-            let spec = PolicySpec {
-                plan_kernel: Some(kernel.into()),
-                ..PolicySpec::default()
-            };
-            assert!(spec.build(1, false).is_ok(), "kernel {kernel}");
+    fn retired_planner_keys_are_rejected() {
+        // The planner has one production path: keys naming planner
+        // implementations are unknown fields.
+        for key in [
+            r#""plan_kernel": "dense""#,
+            r#""plan_shards": 4"#,
+            r#""dense_sweep": "scalar""#,
+        ] {
+            let text = format!(
+                r#"{{
+                    "name": "t",
+                    "workload": {{ "profile": "light", "days": 1 }},
+                    "policy": {{ "kind": "dynamic", {key} }}
+                }}"#
+            );
+            let err = ScenarioSpec::from_json(&text).map(|_| ()).unwrap_err();
+            assert!(err.contains("unknown field"), "{key}: {err}");
         }
-        let bad = PolicySpec {
-            plan_kernel: Some("sparse".into()),
-            ..PolicySpec::default()
-        };
-        match bad.build(1, false) {
-            Err(e) => assert!(e.contains("sparse")),
-            Ok(_) => panic!("unknown kernel must error"),
+    }
+
+    #[test]
+    fn zero_machine_fleet_errors_cleanly() {
+        let text = r#"{
+            "name": "t",
+            "fleet": [ { "preset": "paper_fast", "count": 0 },
+                       { "preset": "paper_slow", "count": 0 } ],
+            "workload": { "profile": "light", "days": 1 },
+            "policy": { "kind": "dynamic" }
+        }"#;
+        let spec = ScenarioSpec::from_json(text).unwrap();
+        assert_eq!(spec.build().map(|_| ()), Err(SpecError::EmptyFleet));
+    }
+
+    #[test]
+    fn custom_class_below_min_vm_errors_cleanly() {
+        for (cores, mem, dimension) in [(0, 0, 0), (4, 128, 1)] {
+            let text = format!(
+                r#"{{
+                    "name": "t",
+                    "fleet": [ {{ "preset": "custom", "count": 2, "name": "tiny",
+                                 "cores": {cores}, "memory_mib": {mem},
+                                 "active_w": 100.0, "idle_w": 50.0 }} ],
+                    "workload": {{ "profile": "light", "days": 1 }},
+                    "policy": {{ "kind": "dynamic" }}
+                }}"#
+            );
+            let spec = ScenarioSpec::from_json(&text).unwrap();
+            match spec.build().map(|_| ()) {
+                Err(SpecError::CapacityBelowMinVm {
+                    class,
+                    dimension: d,
+                    ..
+                }) => {
+                    assert_eq!(class, "tiny");
+                    assert_eq!(d, dimension, "{cores} cores / {mem} MiB");
+                }
+                other => panic!("{cores} cores / {mem} MiB: {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn overflowing_horizon_errors_cleanly() {
+        for days in [u64::MAX, u64::MAX / 86_400 + 1] {
+            let text = format!(
+                r#"{{
+                    "name": "t",
+                    "workload": {{ "profile": "light", "days": {days} }},
+                    "policy": {{ "kind": "first-fit" }}
+                }}"#
+            );
+            let spec = ScenarioSpec::from_json(&text).unwrap();
+            assert_eq!(
+                spec.build().map(|_| ()),
+                Err(SpecError::HorizonOverflow { days })
+            );
+        }
+        // The last representable day count passes the check.
+        let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
+        spec.workload.days = u64::MAX / 86_400;
+        assert!(spec.build().is_ok());
     }
 
     #[test]
@@ -533,13 +644,13 @@ mod tests {
                 capacity_basis: Some(basis.into()),
                 ..PolicySpec::default()
             };
-            assert!(spec.build(1, false).is_ok(), "basis {basis}");
+            assert!(spec.build(1).is_ok(), "basis {basis}");
         }
         let bad = PolicySpec {
             capacity_basis: Some("astral".into()),
             ..PolicySpec::default()
         };
-        match bad.build(1, false) {
+        match bad.build(1) {
             Err(e) => assert!(e.contains("astral")),
             Ok(_) => panic!("unknown basis must error"),
         }
@@ -547,38 +658,20 @@ mod tests {
 
     #[test]
     fn heterogeneity_knobs_build_and_reject_typos() {
-        // The full heterogeneous-planning knob set parses from JSON.
+        // The heterogeneous-planning knob parses from JSON.
         let text = r#"{
             "name": "hetero",
             "workload": { "profile": "light", "days": 1 },
-            "policy": { "kind": "dynamic", "plan_kernel": "compressed",
-                        "class_tolerance": 0.01, "plan_shards": 4,
-                        "dense_sweep": "simd" }
+            "policy": { "kind": "dynamic", "class_tolerance": 0.01 }
         }"#;
         let spec = ScenarioSpec::from_json(text).unwrap();
-        assert!(spec.policy.build(1, false).is_ok());
-
-        for sweep in ["auto", "scalar", "simd"] {
-            let spec = PolicySpec {
-                dense_sweep: Some(sweep.into()),
-                ..PolicySpec::default()
-            };
-            assert!(spec.build(1, false).is_ok(), "sweep {sweep}");
-        }
-        let bad_sweep = PolicySpec {
-            dense_sweep: Some("avx1024".into()),
-            ..PolicySpec::default()
-        };
-        match bad_sweep.build(1, false) {
-            Err(e) => assert!(e.contains("avx1024")),
-            Ok(_) => panic!("unknown sweep must error"),
-        }
+        assert!(spec.policy.build(1).is_ok());
         // An out-of-range tolerance is caught by DynamicConfig::validate.
         let bad_tol = PolicySpec {
             class_tolerance: Some(0.9),
             ..PolicySpec::default()
         };
-        assert!(bad_tol.build(1, false).is_err());
+        assert!(bad_tol.build(1).is_err());
         // Typos inside the policy block are rejected (deny_unknown_fields).
         let typo = r#"{
             "name": "t",
@@ -629,7 +722,11 @@ mod tests {
             "policy": { "kind": "first-fit" },
             "overbook": { "cpu_pct": 50 }
         }"#;
-        let err = ScenarioSpec::from_json(low).unwrap().build().unwrap_err();
+        let err = ScenarioSpec::from_json(low)
+            .unwrap()
+            .build()
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("cpu_pct"), "{err}");
 
         let preset = r#"{
@@ -641,7 +738,8 @@ mod tests {
         let err = ScenarioSpec::from_json(preset)
             .unwrap()
             .build()
-            .unwrap_err();
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("turbulent"), "{err}");
     }
 
@@ -691,7 +789,11 @@ mod tests {
             "workload": { "profile": "swf", "days": 1 },
             "policy": { "kind": "first-fit" }
         }"#;
-        let err = ScenarioSpec::from_json(text).unwrap().build().unwrap_err();
+        let err = ScenarioSpec::from_json(text)
+            .unwrap()
+            .build()
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("path"), "{err}");
     }
 

@@ -103,14 +103,16 @@
 //! Structures the compressed form cannot represent — demand/superclass
 //! registries past their caps, level counts past 63, capacity dimensions
 //! that disagree with `min_vm` — permanently poison the planner;
-//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then routes
-//! every subsequent pass to the dense kernel, which is the reference
-//! definition of the output, so behavior is unchanged.
+//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then serves the
+//! poisoning pass and every later one on the dense delta planner: the
+//! first dense pass builds the matrix from the view, and each later pass
+//! patches it from the fleet-delta journal. The dense planner is the
+//! reference definition of the output, so behavior is unchanged.
 
 use crate::config::DynamicConfig;
 use crate::factors::class_table::{self, ClassEntry};
 use crate::factors::vir;
-use crate::plan::{PlanPm, PlanState};
+use crate::plan::PlanPm;
 use crate::policy::{Migration, PlacementView};
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::power::relative_efficiencies;
@@ -240,8 +242,8 @@ fn raised(p_cap: f64, h: f64) -> f64 {
     }
 }
 
-/// Per-row state (indexed by `PmId.0` in persistent mode, by plan row in
-/// one-shot mode — both are ascending-id orders, preserving tie-breaks).
+/// Per-row state, indexed by `PmId.0` — ascending-id order, which preserves
+/// the dense planner's tie-breaks.
 #[derive(Debug, Clone)]
 struct Row {
     active: bool,
@@ -407,12 +409,7 @@ impl CompressedPlanner {
     }
 
     /// Registers a demand vector, backfilling the level cache and buckets
-    /// of every existing row for the new demand index. On large fleets the
-    /// per-row level computation is sharded across the crossbeam pool
-    /// (contiguous row ranges into disjoint scratch slices); the bucket
-    /// inserts then replay serially in ascending row order, so the
-    /// resulting state is bit-identical to the sequential backfill at any
-    /// shard count.
+    /// of every existing row for the new demand index.
     fn register_demand(&mut self, res: &ResourceVector, cfg: &DynamicConfig) -> Result<u8, Poison> {
         if let Some(&d) = self.demand_lookup.get(res) {
             return Ok(d);
@@ -426,49 +423,9 @@ impl CompressedPlanner {
         self.floors.push(Vec::new());
         self.row_cols.push(vec![0; self.rows.len()]);
         self.by_h.push(BTreeSet::new());
-        let m = self.rows.len();
-        let shards = cfg.resolve_shards(m);
-        if shards > 1 {
-            let demand = self.demands[d as usize];
-            let rows = &self.rows;
-            let sclasses = &self.sclasses;
-            let mut scratch = vec![INFEASIBLE; m];
-            let chunk = m.div_ceil(shards);
-            crossbeam::scope(|s| {
-                for (i, out) in scratch.chunks_mut(chunk).enumerate() {
-                    let lo = i * chunk;
-                    s.spawn(move |_| {
-                        for (j, w) in out.iter_mut().enumerate() {
-                            let row = &rows[lo + j];
-                            if !row.active {
-                                continue;
-                            }
-                            let sc = &sclasses[row.sclass as usize];
-                            if sc.usable && row.used.fits_with(&demand, &sc.entry.capacity) {
-                                *w = class_table::class_level(&row.used.add(&demand), &sc.entry)
-                                    as u8;
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("backfill worker panicked");
-            for (r, &w) in scratch.iter().enumerate() {
-                if w != INFEASIBLE {
-                    // Fresh demand index: the old level is always
-                    // INFEASIBLE, so this is insert-only — exactly what
-                    // `bucket_row_demand` would do.
-                    let b_idx = self.rows[r].sclass as usize * MAX_DEMANDS + d as usize;
-                    self.row_w[r * MAX_DEMANDS + d as usize] = w;
-                    self.buckets[b_idx].insert(w, r as u32);
-                    self.note_insert(b_idx);
-                }
-            }
-        } else {
-            for r in 0..m {
-                if self.rows[r].active {
-                    self.bucket_row_demand(r, d as usize);
-                }
+        for r in 0..self.rows.len() {
+            if self.rows[r].active {
+                self.bucket_row_demand(r, d as usize);
             }
         }
         Ok(d)
@@ -824,7 +781,7 @@ impl CompressedPlanner {
         Ok(())
     }
 
-    /// Mirrors [`PlanState::refill`]'s row construction exactly —
+    /// Mirrors [`crate::plan::PlanState::refill`]'s row construction exactly —
     /// including the `class_tolerance` quantizers, which is what keeps the
     /// persistent planner's superclass keys identical to the inputs the
     /// dense kernel would see for the same fleet.
@@ -1149,28 +1106,23 @@ impl CompressedPlanner {
         }
         // Stage 3: a genuine winner exists — run Algorithm 1's rounds.
         dvmp_obs::note_compressed_rounds_entered();
-        let now = view.now;
-        let rem_of = |cols: &[Col], c: usize| cols[c].deadline.saturating_since(now).as_secs();
-        Some(self.run_rounds(cfg, rem_of, None))
+        Some(self.run_rounds(view.now, cfg))
     }
 
     /// Algorithm 1's migration rounds with the per-column best cache and
     /// its repair heuristics, mirrored from the dense planner. Returns the
     /// move batch and whether the round cap stopped it.
-    fn run_rounds(
-        &mut self,
-        cfg: &DynamicConfig,
-        rem_of: impl Fn(&[Col], usize) -> u64,
-        mut plan: Option<&mut PlanState>,
-    ) -> (Vec<Migration>, bool) {
+    fn run_rounds(&mut self, now: SimTime, cfg: &DynamicConfig) -> (Vec<Migration>, bool) {
         let n = self.cols.len();
         let mut rem = std::mem::take(&mut self.rem);
         let mut best = std::mem::take(&mut self.best);
         rem.clear();
         best.clear();
-        for c in 0..n {
-            rem.push(rem_of(&self.cols, c));
-        }
+        rem.extend(
+            self.cols
+                .iter()
+                .map(|col| col.deadline.saturating_since(now).as_secs()),
+        );
         for (c, &r) in rem.iter().enumerate() {
             best.push(self.exact_best(c, r, cfg));
         }
@@ -1192,15 +1144,8 @@ impl CompressedPlanner {
             let to = to as usize;
             let from = self.cols[col].host as usize;
             let res = self.demands[self.cols[col].demand as usize];
-            if let Some(p) = plan.as_deref_mut() {
-                let applied = p.apply_migration(col, to);
-                debug_assert_eq!(applied, (from, to));
-                self.rows[from].used = p.pms[from].used;
-                self.rows[to].used = p.pms[to].used;
-            } else {
-                self.rows[from].used = self.rows[from].used.saturating_sub(&res);
-                self.rows[to].used = self.rows[to].used.add(&res);
-            }
+            self.rows[from].used = self.rows[from].used.saturating_sub(&res);
+            self.rows[to].used = self.rows[to].used.add(&res);
             self.refresh_row(from, cfg);
             self.refresh_row(to, cfg);
             let mig_secs = self.sclasses[self.rows[to].sclass as usize]
@@ -1329,48 +1274,11 @@ impl CompressedPlanner {
     }
 }
 
-/// One-shot compressed planning over an explicit [`PlanState`] — the
-/// `plan_on` entry point under an explicit `PlanKernel::Compressed`.
-/// Returns `None` when the plan cannot be compressed (caller runs dense).
-pub(crate) fn one_shot(
-    cfg: &DynamicConfig,
-    plan: &mut PlanState,
-) -> Option<(Vec<Migration>, bool)> {
-    let mut p = CompressedPlanner::new();
-    p.effs = plan.effs.clone();
-    let m = plan.pms.len();
-    p.rows.resize_with(m, Row::default);
-    p.row_ids.extend(plan.pms.iter().map(|pm| pm.id));
-    p.row_w.resize(m * MAX_DEMANDS, INFEASIBLE);
-    p.host_vms.resize_with(m, BTreeSet::new);
-    for r in 0..m {
-        let pm = plan.pms[r].clone();
-        if p.sync_row(r, true, &pm, cfg).is_err() {
-            p.poison();
-            return None;
-        }
-    }
-    for vm in &plan.vms {
-        let Ok(d) = p.register_demand(&vm.resources, cfg) else {
-            p.poison();
-            return None;
-        };
-        p.cols
-            .push(Col::new(vm.id, d, vm.host as u32, SimTime::ZERO));
-        p.host_vms[vm.host].insert(vm.id);
-        p.attach(vm.host, d as usize);
-    }
-    let rems: Vec<u64> = plan.vms.iter().map(|vm| vm.remaining_secs).collect();
-    let rem_of = move |_cols: &[Col], c: usize| rems[c];
-    Some(p.run_rounds(cfg, rem_of, Some(plan)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlanKernel;
     use crate::dynamic::DynamicPlacement;
-    use crate::plan::PlanState;
+    use crate::matrix::MatrixKernel;
     use crate::policy::testutil::*;
     use crate::policy::PlacementPolicy;
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
@@ -1378,10 +1286,18 @@ mod tests {
     use dvmp_cluster::vm::Vm;
     use std::collections::BTreeMap;
 
-    fn cfg_with(kernel: PlanKernel) -> DynamicConfig {
-        let mut cfg = DynamicConfig::default();
-        cfg.plan_kernel = kernel;
-        cfg
+    /// Which planner a twin runs: the dense reference or production.
+    #[derive(Debug, Clone, Copy)]
+    enum Kernel {
+        Dense,
+        Compressed,
+    }
+
+    fn policy_with(kernel: Kernel, cfg: DynamicConfig) -> DynamicPlacement {
+        match kernel {
+            Kernel::Dense => DynamicPlacement::dense_reference(cfg),
+            Kernel::Compressed => DynamicPlacement::new(cfg),
+        }
     }
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -1398,19 +1314,26 @@ mod tests {
         dc: Datacenter,
         vms: BTreeMap<VmId, Vm>,
         policy: DynamicPlacement,
+        /// `plan_migrations` calls so far.
+        passes: u64,
     }
 
     impl Twin {
-        fn new(kernel: PlanKernel) -> Self {
+        fn new(kernel: Kernel) -> Self {
             let dc = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 6, 0.99)
                 .add_class(PmClass::paper_slow(), 6, 0.95)
                 .initially_on(true)
                 .build();
+            Twin::on(dc, policy_with(kernel, DynamicConfig::default()))
+        }
+
+        fn on(dc: Datacenter, policy: DynamicPlacement) -> Self {
             Twin {
                 dc,
                 vms: BTreeMap::new(),
-                policy: DynamicPlacement::new(cfg_with(kernel)),
+                policy,
+                passes: 0,
             }
         }
 
@@ -1438,6 +1361,7 @@ mod tests {
         }
 
         fn plan(&mut self, now: SimTime) -> Vec<Migration> {
+            self.passes += 1;
             self.drain();
             let view = PlacementView {
                 dc: &self.dc,
@@ -1454,18 +1378,19 @@ mod tests {
     /// persistent patch path (journal dirt, Creating stash, planner
     /// self-dirt, skipped moves) rather than single fresh passes.
     fn differential_history(seed: u64, steps: u32) {
-        drive_history(
+        let _ = drive_history(
             seed,
             steps,
-            Twin::new(PlanKernel::Dense),
-            Twin::new(PlanKernel::Compressed),
+            Twin::new(Kernel::Dense),
+            Twin::new(Kernel::Compressed),
         );
     }
 
     /// The scripted-history driver behind the differential tests: both
     /// twins see the same arrivals, departures, commits and failures and
-    /// must agree on every placement and every migration batch.
-    fn drive_history(seed: u64, steps: u32, mut dense: Twin, mut comp: Twin) {
+    /// must agree on every placement and every migration batch. Returns
+    /// the compressed twin for counter checks.
+    fn drive_history(seed: u64, steps: u32, mut dense: Twin, mut comp: Twin) -> Twin {
         let mut rng = seed | 1;
         let mut next_vm = 1u32;
         let mut t = 0u64;
@@ -1625,6 +1550,7 @@ mod tests {
             comp.policy.compressed_passes() > 0,
             "seed {seed}: the compressed kernel must actually run"
         );
+        comp
     }
 
     #[test]
@@ -1632,9 +1558,9 @@ mod tests {
         // VM 1 runs alone on PM 6, a small slow machine, in an otherwise
         // empty fleet: no candidate reaches a higher utilization level, so
         // no move clears the threshold.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
-        let cfg = cfg_with(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
+        let cfg = DynamicConfig::default();
         let mut planner = CompressedPlanner::new();
         let t0 = SimTime::ZERO;
         for twin in [&mut dense, &mut comp] {
@@ -1709,7 +1635,7 @@ mod tests {
     /// fragment toward one class per PM. With `class_tolerance` both
     /// kernels quantize through the same grid and the compressed planner
     /// keeps its two hardware superclasses.
-    fn jittered_twin(kernel: PlanKernel, tolerance: f64) -> Twin {
+    fn jittered_twin(kernel: Kernel, tolerance: f64) -> Twin {
         let mut dc = FleetBuilder::new()
             .add_class(PmClass::paper_fast(), 6, 0.99)
             .add_class(PmClass::paper_slow(), 6, 0.95)
@@ -1719,28 +1645,24 @@ mod tests {
             // ±0.004 spread, well inside one 0.01-tolerance bucket.
             dc.pm_mut(PmId(i as u32)).reliability += 0.002 * ((i % 5) as f64 - 2.0);
         }
-        let mut cfg = cfg_with(kernel);
+        let mut cfg = DynamicConfig::default();
         cfg.class_tolerance = tolerance;
-        Twin {
-            dc,
-            vms: BTreeMap::new(),
-            policy: DynamicPlacement::new(cfg),
-        }
+        Twin::on(dc, policy_with(kernel, cfg))
     }
 
     #[test]
     fn bucketed_compressed_matches_dense_on_jittered_fleets() {
         for seed in [5, 19, 73, 211] {
-            let dense = jittered_twin(PlanKernel::Dense, 0.01);
-            let comp = jittered_twin(PlanKernel::Compressed, 0.01);
-            drive_history(seed, 100, dense, comp);
+            let dense = jittered_twin(Kernel::Dense, 0.01);
+            let comp = jittered_twin(Kernel::Compressed, 0.01);
+            let _ = drive_history(seed, 100, dense, comp);
         }
     }
 
     #[test]
     fn tolerance_collapses_jittered_fleet_to_hardware_superclasses() {
         // Exact keys: every jittered reliability is its own superclass.
-        let mut exact = jittered_twin(PlanKernel::Compressed, 0.0);
+        let mut exact = jittered_twin(Kernel::Compressed, 0.0);
         let _ = exact.plan(SimTime::ZERO);
         assert!(!exact.policy.compressed_poisoned());
         assert_eq!(
@@ -1749,7 +1671,7 @@ mod tests {
             "5 distinct jittered reliabilities per hardware class"
         );
         // Bucketed keys: the jitter collapses back onto the two classes.
-        let mut bucketed = jittered_twin(PlanKernel::Compressed, 0.01);
+        let mut bucketed = jittered_twin(Kernel::Compressed, 0.01);
         let s = spec(1, 512, 50_000);
         if let Some(pm) = bucketed.place(&s, SimTime::ZERO) {
             bucketed.dc.place(s.id, pm, s.resources).unwrap();
@@ -1771,8 +1693,8 @@ mod tests {
     fn compressed_place_matches_dense_on_fresh_fleet() {
         // Ultra-short estimates exercise the without-vir fallback column.
         for est in [50, 500, 5_000, 50_000] {
-            let mut dense = Twin::new(PlanKernel::Dense);
-            let mut comp = Twin::new(PlanKernel::Compressed);
+            let mut dense = Twin::new(Kernel::Dense);
+            let mut comp = Twin::new(Kernel::Compressed);
             let s = spec(1, 512, est);
             let now = SimTime::ZERO;
             assert_eq!(dense.place(&s, now), comp.place(&s, now), "est {est}");
@@ -1780,11 +1702,13 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_matches_dense_on_class_divergent_plans() {
-        // Hand-built plans whose PMs diverge from their hardware class
-        // (mutated reliability): every divergent PM must land in its own
-        // superclass and the move sequence must match the dense planner.
+    fn compressed_matches_dense_on_class_divergent_fleets() {
+        // PMs that diverge from their hardware class (mutated reliability)
+        // must each land in their own superclass, and the move sequence
+        // must match the dense planner's.
         let mut dc = small_fleet();
+        dc.pm_mut(PmId(1)).reliability = 0.42;
+        dc.pm_mut(PmId(3)).reliability = 0.77;
         let mut vms = BTreeMap::new();
         for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
             install(
@@ -1800,33 +1724,32 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let cfg = DynamicConfig::default();
-        let mut plan = PlanState::from_view(&view, &cfg.min_vm);
-        // Diverge two PMs from their class rows.
-        plan.pms[1].reliability = 0.42;
-        plan.pms[3].reliability = 0.77;
-
-        let mut plan_dense = plan.clone();
-        let mut plan_comp = plan.clone();
-        let mut dense = DynamicPlacement::new(cfg_with(PlanKernel::Dense));
-        let mut comp = DynamicPlacement::new(cfg_with(PlanKernel::Compressed));
-        let moves_dense = dense.plan_on(&mut plan_dense);
-        let moves_comp = comp.plan_on(&mut plan_comp);
+        let mut dense = policy_with(Kernel::Dense, DynamicConfig::default());
+        let mut comp = policy_with(Kernel::Compressed, DynamicConfig::default());
+        let moves_dense = dense.plan_migrations(&view);
+        let moves_comp = comp.plan_migrations(&view);
         assert_eq!(moves_dense, moves_comp);
         assert!(
             !moves_dense.is_empty(),
             "divergent fleet still consolidates"
         );
-        assert_eq!(comp.compressed_passes(), 1, "one-shot kernel served it");
-        for (a, b) in plan_dense.pms.iter().zip(plan_comp.pms.iter()) {
-            assert_eq!(a.used, b.used, "identical end occupancy");
-        }
+        assert_eq!(
+            comp.compressed_passes(),
+            1,
+            "the compressed kernel served it"
+        );
+        assert_eq!(
+            comp.compressed_superclasses(),
+            4,
+            "two hardware classes plus two divergent PMs"
+        );
     }
 
     #[test]
     fn tie_break_is_deterministic_across_build_kernels() {
-        // Sequential dense, parallel dense and compressed builds must all
-        // resolve ties identically (lowest eligible PM id).
+        // The dense planner under both matrix kernels and the compressed
+        // planner must all resolve ties identically (lowest eligible PM
+        // id).
         let build = || {
             let mut dc = small_fleet();
             let mut vms = BTreeMap::new();
@@ -1843,25 +1766,28 @@ mod tests {
             }
             (dc, vms)
         };
-        let mut seq_cfg = cfg_with(PlanKernel::Dense);
-        seq_cfg.par_rows_cutoff = usize::MAX;
-        let mut par_cfg = cfg_with(PlanKernel::Dense);
-        par_cfg.par_rows_cutoff = 1;
-        let cfgs = [seq_cfg, par_cfg, cfg_with(PlanKernel::Compressed)];
+        let policies = [
+            policy_with(Kernel::Dense, DynamicConfig::default()),
+            policy_with(Kernel::Dense, DynamicConfig::default())
+                .with_kernel(MatrixKernel::Reference),
+            policy_with(Kernel::Compressed, DynamicConfig::default()),
+        ];
         let mut all_moves = Vec::new();
         let mut all_places = Vec::new();
-        for cfg in cfgs {
+        for mut policy in policies {
             let (dc, vms) = build();
             let view = PlacementView {
                 dc: &dc,
                 vms: &vms,
                 now: SimTime::ZERO,
             };
-            let mut policy = DynamicPlacement::new(cfg);
             all_moves.push(policy.plan_migrations(&view));
             all_places.push(policy.place(&view, &spec(99, 256, 120_000)));
         }
-        assert_eq!(all_moves[0], all_moves[1], "sequential vs parallel");
+        assert_eq!(
+            all_moves[0], all_moves[1],
+            "fast vs reference matrix kernel"
+        );
         assert_eq!(all_moves[0], all_moves[2], "dense vs compressed");
         assert_eq!(all_places[0], all_places[1]);
         assert_eq!(all_places[0], all_places[2]);
@@ -1872,8 +1798,8 @@ mod tests {
         // More distinct demand vectors than MAX_DEMANDS: the compressed
         // planner must poison itself and route everything to the dense
         // kernel, with no observable difference.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         let mut t = 0u64;
         for i in 0..(MAX_DEMANDS as u32 + 6) {
             let now = SimTime::from_secs(t);
@@ -1889,44 +1815,47 @@ mod tests {
             t += 100;
         }
         assert!(comp.policy.compressed_poisoned());
-        let now = SimTime::from_secs(t);
-        assert_eq!(dense.plan(now), comp.plan(now), "post-poison plans match");
+        // After the poison the dense delta planner takes over: the first
+        // dense pass builds the matrix, later ones patch it.
+        for _ in 0..3 {
+            let now = SimTime::from_secs(t);
+            assert_eq!(dense.plan(now), comp.plan(now), "post-poison plans match");
+            t += 100;
+        }
+        assert!(
+            comp.policy.incremental_passes() > 0,
+            "post-poison passes take the dense delta path"
+        );
     }
 
     #[test]
-    fn auto_kernel_stays_dense_below_cutoff() {
-        // Paper-scale fleets (≪ cutoff) must keep the dense reference
-        // kernel under Auto — golden traces depend on it only in the sense
-        // that both kernels are identical, but the counters make the
-        // selection observable.
-        let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
-        for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
-            install(
-                &mut dc,
-                &mut vms,
-                spec(i as u32 + 1, 512, 200_000),
-                PmId(*pm),
-                SimTime::ZERO,
-            );
-        }
-        let mut policy = DynamicPlacement::paper_default();
-        let view = PlacementView {
-            dc: &dc,
-            vms: &vms,
-            now: SimTime::ZERO,
-        };
-        let moves = policy.plan_migrations(&view);
-        assert!(!moves.is_empty());
-        assert_eq!(policy.compressed_passes(), 0, "Auto stays dense at 4 PMs");
+    fn paper_default_serves_every_pass_on_the_compressed_kernel() {
+        // The paper's own 100-PM Table II fleet: production serves every
+        // placement and every planning pass on the compressed kernel and
+        // never touches the dense planner.
+        let fleet = FleetBuilder::new()
+            .add_class(PmClass::paper_fast(), 25, 0.99)
+            .add_class(PmClass::paper_slow(), 75, 0.99)
+            .initially_on(true)
+            .build();
+        let dense = Twin::on(
+            fleet.clone(),
+            policy_with(Kernel::Dense, DynamicConfig::default()),
+        );
+        let comp = Twin::on(fleet, DynamicPlacement::paper_default());
+        let comp = drive_history(29, 150, dense, comp);
+        assert!(comp.passes > 0);
+        assert_eq!(comp.policy.compressed_passes(), comp.passes);
+        assert_eq!(comp.policy.full_rebuilds(), 0);
+        assert_eq!(comp.policy.incremental_passes(), 0);
     }
 
     #[test]
     fn creation_stash_defers_and_adopts_columns() {
         // A VM mid-creation must not be planned; once its ready time
         // passes (an unjournaled transition), the stash must surface it.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         // Fragment: two runners on separate PMs plus one creating.
         for (twin_no, twin) in [&mut dense, &mut comp].into_iter().enumerate() {
             for (i, pm) in [0u32, 2].iter().enumerate() {

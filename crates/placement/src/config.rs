@@ -1,4 +1,11 @@
 //! Configuration of the dynamic placement scheme.
+//!
+//! Every field changes what the planner computes; none selects how it
+//! computes it. [`crate::DynamicPlacement`] runs the class-compressed
+//! planner whenever that can represent the fleet, and the dense delta
+//! planner otherwise: with extension factors, under the `use_eff`
+//! ablation, and after the compressed planner poisons. Both produce the
+//! same plans bit for bit.
 
 use dvmp_cluster::resources::ResourceVector;
 use serde::{Deserialize, Serialize};
@@ -12,47 +19,6 @@ pub enum OverheadMode {
     /// Physically precise: charge only `T_cre` on first placement and only
     /// `T_mig` on migration.
     Split,
-}
-
-/// Which planning kernel [`crate::DynamicPlacement`] runs per pass.
-///
-/// Both kernels produce bit-identical migration batches and placements
-/// (golden traces and the differential proptests in `dynamic.rs` hold
-/// them to it); this knob trades constant factors only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PlanKernel {
-    /// Pick by total fleet size: the dense matrix below
-    /// [`COMPRESSED_ROWS_CUTOFF`] PMs, class-compressed at or above it.
-    #[default]
-    Auto,
-    /// Always the dense M×N probability matrix (the reference kernel).
-    Dense,
-    /// Always the class-compressed sparse planner (falls back to dense
-    /// only when the fleet cannot be compressed — see
-    /// `compressed.rs`).
-    Compressed,
-}
-
-/// Which dense bulk-sweep implementation the planner's row-major best
-/// searches run ([`crate::ProbabilityMatrix::refill_best`] and the fused
-/// incremental sweep).
-///
-/// Both implementations produce bit-identical best caches — the SIMD
-/// sweep only *skips* entries a monotonicity argument proves can never
-/// win, and every surviving entry is decided by the exact scalar
-/// comparison chain (see `matrix.rs`). The knob exists so differential
-/// tests and the CI perf gate can hold the two to that contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DenseSweep {
-    /// The lane-chunked sweep (resolves to [`DenseSweep::Simd`]).
-    #[default]
-    Auto,
-    /// The straight-line scalar sweep (the reference definition).
-    Scalar,
-    /// Lane-chunked f64 sweep with a scalar tail: entries are screened
-    /// eight at a time against the per-column running maximum and only
-    /// surviving chunks fall through to the scalar update.
-    Simd,
 }
 
 /// Which capacity bound the planning kernels treat as a PM's limit.
@@ -72,16 +38,6 @@ pub enum CapacityBasis {
     Physical,
 }
 
-/// Total fleet size at which `PlanKernel::Auto` switches from the dense
-/// matrix to the class-compressed planner. Below this the dense kernel's
-/// simplicity wins (its per-pass cost is small in absolute terms and the
-/// compressed bookkeeping isn't free); above it the dense O(M·N) refill
-/// dominates everything else in the run. Deliberately keyed on the
-/// *fleet*, not the powered count: the spare-server controller moves the
-/// powered count across any threshold mid-run, and kernel flapping costs
-/// a compressed rebuild per flip.
-pub const COMPRESSED_ROWS_CUTOFF: usize = 512;
-
 /// Tunables of [`crate::DynamicPlacement`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DynamicConfig {
@@ -100,36 +56,9 @@ pub struct DynamicConfig {
     /// Ablation switch: include the reliability factor `p^rel`.
     pub use_rel: bool,
     /// Ablation switch: include the energy-efficiency factor `p^eff`.
+    /// With it off, planning runs on the dense delta planner: the
+    /// compressed planner's level buckets rank candidates by `p^eff`.
     pub use_eff: bool,
-    /// Row count at or above which a full matrix (re)build is chunked
-    /// across worker threads. Below it the sequential path runs — thread
-    /// spawn overhead dwarfs the win on small fleets. The parallel build is
-    /// bit-identical to the sequential one (DESIGN.md §8), so this is a
-    /// pure performance knob. The default is host-aware (see
-    /// [`DynamicConfig::auto_par_rows_cutoff`]); set it explicitly to force
-    /// either path.
-    #[serde(default = "default_par_rows_cutoff")]
-    pub par_rows_cutoff: usize,
-    /// Keep planning state (probability matrix, eff-operand cache, class
-    /// table) alive across passes and update it from the fleet-delta
-    /// journal instead of rebuilding from scratch (DESIGN.md §8). The
-    /// incremental update is bit-identical to a fresh rebuild — this knob
-    /// exists for ablation/benchmarking, not because the outputs differ.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
-    /// Dirty-entry fraction above which an incremental pass falls back to
-    /// a full rebuild: touching most of the matrix through the journal
-    /// maps costs more than refilling it wholesale (which also regains the
-    /// parallel build above `par_rows_cutoff`). `0.0` forces a rebuild on
-    /// any dirt; `1.0` never falls back.
-    #[serde(default = "default_rebuild_threshold")]
-    pub rebuild_threshold: f64,
-    /// Planning-kernel selection (see [`PlanKernel`]). `Auto` keeps
-    /// paper-scale fleets on the dense reference kernel and switches to
-    /// the class-compressed planner at [`COMPRESSED_ROWS_CUTOFF`] active
-    /// rows; both produce identical output.
-    #[serde(default)]
-    pub plan_kernel: PlanKernel,
     /// Which capacity bound planning admits against (see
     /// [`CapacityBasis`]). `Virtual` matches the live fleet's admission
     /// control; `Physical` is the overbooking ablation.
@@ -151,20 +80,6 @@ pub struct DynamicConfig {
     /// perturbation (DESIGN.md §12), which `perf_report` measures.
     #[serde(default = "default_class_tolerance")]
     pub class_tolerance: f64,
-    /// Shard count for the sharded dense best-candidate sweep. `0` (the
-    /// default) sizes shards automatically: one per matrix-build worker
-    /// once the fleet is at or above `par_rows_cutoff` rows, otherwise a
-    /// single shard (the plain sweep). Any positive value forces that
-    /// many row shards. Results are shard-count-invariant (DESIGN.md
-    /// §12): shards are contiguous ascending row ranges and the merge
-    /// keeps the first strict maximum, which is exactly the sequential
-    /// sweep's lowest-row tie-break.
-    #[serde(default)]
-    pub plan_shards: usize,
-    /// Dense bulk-sweep implementation (see [`DenseSweep`]). Bit-identical
-    /// either way; `Scalar` is the reference for the CI identity gate.
-    #[serde(default)]
-    pub dense_sweep: DenseSweep,
 }
 
 /// Snaps a score-side planning input (reliability or relative efficiency)
@@ -195,30 +110,6 @@ pub fn quantize_secs(s: u64, tol: f64) -> u64 {
     (k * step).exp().round().max(1.0) as u64
 }
 
-/// Measured crossover (`perf_report` matrix-build rows): with few workers
-/// the chunked build's spawn/synchronization overhead loses to the
-/// sequential class-cached fill even at 1k×5k (BENCH_placement.json shows
-/// 1.57–1.87x vs 2.13–2.18x over reference), so chunking only pays above
-/// this row count *and* with a real worker pool
-/// ([`MIN_PAR_WORKERS`]) — see [`DynamicConfig::auto_par_rows_cutoff`].
-pub const MEASURED_PAR_ROWS_CUTOFF: usize = 1024;
-
-/// Minimum available workers before the chunked build can beat the
-/// sequential fill at any measured shape.
-pub const MIN_PAR_WORKERS: usize = 4;
-
-fn default_par_rows_cutoff() -> usize {
-    DynamicConfig::auto_par_rows_cutoff()
-}
-
-fn default_incremental() -> bool {
-    true
-}
-
-fn default_rebuild_threshold() -> f64 {
-    0.5
-}
-
 fn default_class_tolerance() -> f64 {
     0.0
 }
@@ -233,58 +124,13 @@ impl Default for DynamicConfig {
             use_vir: true,
             use_rel: true,
             use_eff: true,
-            par_rows_cutoff: default_par_rows_cutoff(),
-            incremental: default_incremental(),
-            rebuild_threshold: default_rebuild_threshold(),
-            plan_kernel: PlanKernel::default(),
             capacity_basis: CapacityBasis::default(),
             class_tolerance: default_class_tolerance(),
-            plan_shards: 0,
-            dense_sweep: DenseSweep::default(),
         }
     }
 }
 
 impl DynamicConfig {
-    /// Host-aware default for [`par_rows_cutoff`](Self::par_rows_cutoff):
-    /// the measured crossover ([`MEASURED_PAR_ROWS_CUTOFF`]) when the host
-    /// offers a real worker pool ([`MIN_PAR_WORKERS`] or more), and
-    /// `usize::MAX` (never chunk) otherwise. On thin hosts the chunked
-    /// path *loses to the sequential fast kernel at every paper-scale
-    /// shape* (the clamp to two chunks means a 1–2-thread host pays spawn
-    /// and synchronization overhead for no extra compute), so auto
-    /// selection must pick the sequential kernel there; `perf_report`
-    /// records the kernel this function chooses per shape next to the
-    /// measured per-kernel timings, and the CI perf gate fails if the
-    /// chosen kernel is not the measured winner.
-    pub fn auto_par_rows_cutoff() -> usize {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if workers >= MIN_PAR_WORKERS {
-            MEASURED_PAR_ROWS_CUTOFF
-        } else {
-            usize::MAX
-        }
-    }
-
-    /// Resolved shard count for a sweep over `rows` planning rows: the
-    /// explicit [`plan_shards`](Self::plan_shards) knob when positive
-    /// (clamped to the row count), otherwise one shard per matrix-build
-    /// worker once the fleet reaches
-    /// [`par_rows_cutoff`](Self::par_rows_cutoff) rows and a single shard
-    /// (the plain sequential sweep) below it.
-    pub fn resolve_shards(&self, rows: usize) -> usize {
-        if self.plan_shards > 0 {
-            return self.plan_shards.min(rows.max(1));
-        }
-        if rows >= self.par_rows_cutoff {
-            crate::matrix::parallel_workers(rows)
-        } else {
-            1
-        }
-    }
-
     /// Validates the configuration, returning a description of the first
     /// problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -296,12 +142,6 @@ impl DynamicConfig {
         }
         if self.min_vm.is_zero() {
             return Err("min_vm must be non-zero in at least one dimension".into());
-        }
-        if !(self.rebuild_threshold.is_finite() && (0.0..=1.0).contains(&self.rebuild_threshold)) {
-            return Err(format!(
-                "rebuild_threshold must be within [0.0, 1.0], got {}",
-                self.rebuild_threshold
-            ));
         }
         if !(self.class_tolerance.is_finite() && (0.0..=0.5).contains(&self.class_tolerance)) {
             return Err(format!(
@@ -324,57 +164,30 @@ mod tests {
         assert_eq!(c.mig_round, 20);
         assert_eq!(c.overhead_mode, OverheadMode::PaperJoint);
         assert!(c.use_vir && c.use_rel && c.use_eff);
-        assert_eq!(c.par_rows_cutoff, DynamicConfig::auto_par_rows_cutoff());
-        assert!(c.incremental, "incremental planning is on by default");
-        assert_eq!(c.rebuild_threshold, 0.5);
         assert!(c.validate().is_ok());
     }
 
     #[test]
-    fn par_rows_cutoff_defaults_when_absent_from_serialized_form() {
-        // Configs serialized before the knob existed must still load with
-        // the default cutoff: strip the field from a serialized default
-        // config and parse what remains.
+    fn configs_serialized_with_retired_perf_knobs_still_load() {
+        // Configs serialized while the perf-only knobs existed carry their
+        // keys; the knobs changed no output, so such a config must load
+        // to the same planner configuration as one without them.
         let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
-        let knob = format!(
-            ",\"par_rows_cutoff\":{}",
-            DynamicConfig::auto_par_rows_cutoff()
+        let legacy = full.replacen(
+            '{',
+            "{\"par_rows_cutoff\":1024,\"incremental\":false,\"rebuild_threshold\":0.5,\
+             \"plan_kernel\":\"Dense\",\"plan_shards\":4,\"dense_sweep\":\"Scalar\",",
+            1,
         );
-        let legacy = full.replace(&knob, "");
-        assert_ne!(legacy, full, "the knob serializes");
+        assert_ne!(legacy, full);
         let c: DynamicConfig = serde_json::from_str(&legacy).expect("legacy config parses");
         assert_eq!(c, DynamicConfig::default());
-    }
-
-    #[test]
-    fn incremental_knobs_default_when_absent_from_serialized_form() {
-        // Configs serialized before the incremental knobs existed must
-        // still load with the defaults (same pattern as par_rows_cutoff).
-        let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
-        let legacy = full
-            .replace(",\"incremental\":true", "")
-            .replace(",\"rebuild_threshold\":0.5", "");
-        assert_ne!(legacy, full, "both knobs serialize");
-        let c: DynamicConfig = serde_json::from_str(&legacy).expect("legacy config parses");
-        assert_eq!(c, DynamicConfig::default());
-    }
-
-    #[test]
-    fn plan_kernel_defaults_when_absent_from_serialized_form() {
-        // Configs serialized before the kernel knob existed must still
-        // load with `Auto` (same pattern as par_rows_cutoff).
-        let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
-        let legacy = full.replace(",\"plan_kernel\":\"Auto\"", "");
-        assert_ne!(legacy, full, "the knob serializes");
-        let c: DynamicConfig = serde_json::from_str(&legacy).expect("legacy config parses");
-        assert_eq!(c, DynamicConfig::default());
-        assert_eq!(c.plan_kernel, PlanKernel::Auto);
     }
 
     #[test]
     fn capacity_basis_defaults_when_absent_from_serialized_form() {
         // Configs serialized before the overbooking knob existed must
-        // still load with `Virtual` (same pattern as plan_kernel).
+        // still load with `Virtual`.
         let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
         let legacy = full.replace(",\"capacity_basis\":\"Virtual\"", "");
         assert_ne!(legacy, full, "the knob serializes");
@@ -385,20 +198,14 @@ mod tests {
 
     #[test]
     fn heterogeneity_knobs_default_when_absent_from_serialized_form() {
-        // Configs serialized before the bucketing/sharding/SIMD knobs
-        // existed must still load with the defaults (same pattern as
-        // plan_kernel).
+        // Configs serialized before the bucketing knob existed must still
+        // load with the default (same pattern as capacity_basis).
         let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
-        let legacy = full
-            .replace(",\"class_tolerance\":0.0", "")
-            .replace(",\"plan_shards\":0", "")
-            .replace(",\"dense_sweep\":\"Auto\"", "");
-        assert_ne!(legacy, full, "all three knobs serialize");
+        let legacy = full.replace(",\"class_tolerance\":0.0", "");
+        assert_ne!(legacy, full, "the knob serializes");
         let c: DynamicConfig = serde_json::from_str(&legacy).expect("legacy config parses");
         assert_eq!(c, DynamicConfig::default());
         assert_eq!(c.class_tolerance, 0.0);
-        assert_eq!(c.plan_shards, 0);
-        assert_eq!(c.dense_sweep, DenseSweep::Auto);
     }
 
     #[test]
@@ -465,21 +272,6 @@ mod tests {
         // k=94 grid point of the 5% geometric grid); distant ones don't.
         assert_eq!(quantize_secs(98, tol), quantize_secs(100, tol));
         assert_ne!(quantize_secs(100, tol), quantize_secs(120, tol));
-    }
-
-    #[test]
-    fn validation_rejects_bad_rebuild_threshold() {
-        let mut c = DynamicConfig::default();
-        c.rebuild_threshold = -0.1;
-        assert!(c.validate().is_err());
-        c.rebuild_threshold = 1.5;
-        assert!(c.validate().is_err());
-        c.rebuild_threshold = f64::NAN;
-        assert!(c.validate().is_err());
-        c.rebuild_threshold = 0.0;
-        assert!(c.validate().is_ok());
-        c.rebuild_threshold = 1.0;
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -14,9 +14,16 @@
 //! The argmax search keeps a per-column cache of the best candidate row so
 //! a round costs `O(N + M)` instead of `O(M·N)` — the incremental update
 //! the paper calls out at the end of Section III-C.
+//!
+//! One production path serves every pass: the class-compressed planner
+//! (`compressed.rs`) whenever it can represent the fleet. The dense planner
+//! over the explicit matrix — class-cached build, screened best sweep and
+//! journal-driven delta patching — is its only fallback: it serves runs
+//! with extension factors, the `use_eff` ablation, and every pass after
+//! the compressed planner poisons. Both produce identical plans.
 
-use crate::compressed::{self, CompressedPlanner};
-use crate::config::{DynamicConfig, PlanKernel, COMPRESSED_ROWS_CUTOFF};
+use crate::compressed::CompressedPlanner;
+use crate::config::DynamicConfig;
 use crate::factors::{self, EvalContext, ExtraFactor};
 use crate::matrix::{MatrixKernel, ProbabilityMatrix};
 use crate::plan::PlanState;
@@ -34,9 +41,8 @@ use std::sync::Arc;
 /// against the mutated plan).
 #[derive(Debug, Clone, Default)]
 struct PassSnapshot {
-    /// `false` until a pass leaves a matrix the next pass may extend
-    /// (incremental planning enabled, no extra factors, complete eff
-    /// cache).
+    /// `false` until a pass leaves a matrix the next pass may extend (no
+    /// extra factors, complete eff cache).
     valid: bool,
     /// Row → PM id of the kept matrix, ascending (plan row order).
     row_pms: Vec<PmId>,
@@ -72,6 +78,11 @@ impl PassSnapshot {
     }
 }
 
+/// Dirty-entry fraction above which a dense pass rebuilds the matrix
+/// instead of patching it from the journal: touching most of the matrix
+/// through the journal maps costs more than refilling it wholesale.
+const REBUILD_THRESHOLD: f64 = 0.5;
+
 /// Reusable dirty-set / index-mapping buffers for the incremental matrix
 /// update (one allocation across passes, like the rest of the arena).
 #[derive(Debug, Clone, Default)]
@@ -89,14 +100,9 @@ impl IncScratch {
     /// pass itself (touched sets) laid hands on it — over-reporting dirt
     /// is always sound, under-reporting never happens because every fleet
     /// mutation funnels through the journal. Returns `false` when the
-    /// dirty fraction exceeds `threshold` (full rebuild is cheaper).
-    fn prepare(
-        &mut self,
-        plan: &PlanState,
-        snap: &PassSnapshot,
-        delta: &FleetDelta,
-        threshold: f64,
-    ) -> bool {
+    /// dirty fraction exceeds [`REBUILD_THRESHOLD`] (full rebuild is
+    /// cheaper).
+    fn prepare(&mut self, plan: &PlanState, snap: &PassSnapshot, delta: &FleetDelta) -> bool {
         let rows = plan.pms.len();
         let cols = plan.vms.len();
         self.dirty_rows.clear();
@@ -130,7 +136,7 @@ impl IncScratch {
             dirty_col_count += dirty as usize;
         }
         let dirty_entries = dirty_row_count * cols + (rows - dirty_row_count) * dirty_col_count;
-        (dirty_entries as f64) <= threshold * (rows as f64) * (cols as f64)
+        (dirty_entries as f64) <= REBUILD_THRESHOLD * (rows as f64) * (cols as f64)
     }
 }
 
@@ -172,6 +178,9 @@ pub struct DynamicPlacement {
     comp: CompressedPlanner,
     /// Planning passes served by the class-compressed kernel.
     compressed_passes: u64,
+    /// Set only by [`DynamicPlacement::dense_reference`]: every pass runs
+    /// the dense planner.
+    dense_only: bool,
 }
 
 impl DynamicPlacement {
@@ -182,15 +191,13 @@ impl DynamicPlacement {
     /// [`DynamicConfig::validate`]).
     pub fn new(cfg: DynamicConfig) -> Self {
         cfg.validate().expect("invalid DynamicConfig");
-        let mut matrix = ProbabilityMatrix::default();
-        matrix.set_sweep(cfg.dense_sweep);
         DynamicPlacement {
             cfg,
             extras: Vec::new(),
             total_migrations: 0,
             round_cap_hits: 0,
             plan_arena: PlanState::default(),
-            matrix,
+            matrix: ProbabilityMatrix::default(),
             best: Vec::new(),
             pending_delta: None,
             snap: PassSnapshot::default(),
@@ -199,10 +206,22 @@ impl DynamicPlacement {
             full_rebuilds: 0,
             comp: CompressedPlanner::new(),
             compressed_passes: 0,
+            dense_only: false,
         }
     }
 
-    /// Switches the matrix evaluation kernel (default:
+    /// The scheme pinned to the dense planner on every pass — the
+    /// reference the compressed planner is tested and benchmarked
+    /// against. Plans are identical to [`DynamicPlacement::new`]'s.
+    #[doc(hidden)]
+    pub fn dense_reference(cfg: DynamicConfig) -> Self {
+        DynamicPlacement {
+            dense_only: true,
+            ..Self::new(cfg)
+        }
+    }
+
+    /// Switches the dense planner's matrix evaluation kernel (default:
     /// [`MatrixKernel::Fast`]). The kernels are bit-identical; the
     /// reference kernel exists for differential tests and for measuring
     /// the fast path honestly (`perf_report`).
@@ -246,15 +265,15 @@ impl DynamicPlacement {
         self.round_cap_hits
     }
 
-    /// Planning passes that extended the previous pass's matrix from the
-    /// fleet-delta journal instead of rebuilding it.
+    /// Dense planning passes that extended the previous pass's matrix from
+    /// the fleet-delta journal instead of rebuilding it.
     pub fn incremental_passes(&self) -> u64 {
         self.incremental_passes
     }
 
-    /// Planning passes that (re)built the matrix from scratch — the first
-    /// pass, passes without a usable journal, and passes whose dirty
-    /// fraction exceeded [`DynamicConfig::rebuild_threshold`].
+    /// Dense planning passes that (re)built the matrix from scratch — the
+    /// first dense pass, passes without a usable journal, and passes whose
+    /// dirty fraction exceeded half the matrix.
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
     }
@@ -265,7 +284,7 @@ impl DynamicPlacement {
     }
 
     /// `true` once the compressed planner hit a structure it cannot
-    /// represent and every pass permanently routes to the dense kernel.
+    /// represent and every pass permanently routes to the dense planner.
     pub fn compressed_poisoned(&self) -> bool {
         self.comp.poisoned()
     }
@@ -290,27 +309,17 @@ impl DynamicPlacement {
         self.comp.occupied_buckets()
     }
 
-    /// Whether the next pass over `view` would run the class-compressed
-    /// kernel (kernel knob, extension factors, ablation switches and the
-    /// `Auto` fleet-size cutoff all considered).
-    fn compressed_wanted(&self, view: &PlacementView<'_>) -> bool {
-        if self.comp.poisoned() || !self.extras.is_empty() || !self.cfg.use_eff {
-            return false;
-        }
-        match self.cfg.plan_kernel {
-            PlanKernel::Dense => false,
-            PlanKernel::Compressed => true,
-            // Total fleet size, not the powered count: the spare-server
-            // controller moves the powered count across any threshold
-            // mid-run, and every dense-served pass desyncs the compressed
-            // mirror — a fleet-stable basis keeps one kernel per run.
-            PlanKernel::Auto => view.dc.len() >= COMPRESSED_ROWS_CUTOFF,
-        }
+    /// Whether the next pass runs the class-compressed planner: it needs
+    /// the built-in factors only (extension factors may vary with time)
+    /// and `p^eff`, which its level buckets rank by.
+    fn compressed_wanted(&self) -> bool {
+        !self.dense_only && !self.comp.poisoned() && self.extras.is_empty() && self.cfg.use_eff
     }
 
-    /// Algorithm 1 against an explicit plan state (exposed for tests and
-    /// benchmarks; [`PlacementPolicy::plan_migrations`] builds the state
-    /// from the live view).
+    /// Algorithm 1 on the dense planner against an explicit plan state
+    /// (exposed for tests and benchmarks;
+    /// [`PlacementPolicy::plan_migrations`] builds the state from the live
+    /// view).
     pub fn plan_on(&mut self, plan: &mut PlanState) -> Vec<Migration> {
         // An explicit plan bypasses the journal continuity the persistent
         // compressed planner relies on.
@@ -321,25 +330,6 @@ impl DynamicPlacement {
             // the drained dirt must survive until the next real pass.
             self.pending_delta = delta;
             return Vec::new();
-        }
-        if self.cfg.plan_kernel == PlanKernel::Compressed
-            && self.extras.is_empty()
-            && self.cfg.use_eff
-        {
-            // One-shot compression of the explicit plan; `None` means the
-            // plan's structure cannot be compressed — run dense below.
-            let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
-            if let Some((moves, capped)) = compressed::one_shot(&self.cfg, plan) {
-                self.total_migrations += moves.len() as u64;
-                if capped {
-                    self.round_cap_hits += 1;
-                }
-                self.compressed_passes += 1;
-                dvmp_obs::note_plan_kernel_compressed(plan.pms.len() as u64, plan.vms.len() as u64);
-                // The dense matrix was not built; nothing to carry over.
-                self.snap.capture(false, plan, &moves);
-                return moves;
-            }
         }
         // Disjoint field borrows: the context reads cfg/extras while the
         // matrix and cache are mutated — no per-pass clones needed.
@@ -361,18 +351,11 @@ impl DynamicPlacement {
         // operands) behind, and the journal bounds everything that changed
         // since. Extra factors may vary with time, so their entries cannot
         // be carried across passes.
-        let eligible = cfg.incremental
-            && extras.is_empty()
-            && snap.valid
-            && delta.as_ref().is_some_and(|d| !d.is_full());
+        let eligible =
+            extras.is_empty() && snap.valid && delta.as_ref().is_some_and(|d| !d.is_full());
         let mut incremental = false;
         if eligible {
-            if inc.prepare(
-                plan,
-                snap,
-                delta.as_ref().expect("checked is_some above"),
-                cfg.rebuild_threshold,
-            ) {
+            if inc.prepare(plan, snap, delta.as_ref().expect("checked is_some above")) {
                 if dvmp_obs::enabled() {
                     dvmp_obs::note_plan_dirty_set(
                         inc.dirty_rows.iter().filter(|&&d| d).count() as u64,
@@ -413,10 +396,9 @@ impl DynamicPlacement {
             dvmp_obs::note_plan_kernel_fresh(plan.pms.len() as u64, plan.vms.len() as u64);
             // Per-column cache of the best non-host candidate, refilled in
             // one row-major sweep (the incremental update folds this into
-            // its own sweep), sharded over row ranges on large fleets. The
-            // cache itself never carries across passes: `p^vir` decays
-            // every pass, which rescales entries unevenly.
-            matrix.refill_best_sharded(plan, best, cfg.resolve_shards(plan.pms.len()));
+            // its own sweep). The cache itself never carries across passes:
+            // `p^vir` decays every pass, which rescales entries unevenly.
+            matrix.refill_best(plan, best);
         }
 
         let mut moves = Vec::new();
@@ -483,7 +465,7 @@ impl DynamicPlacement {
         }
         // Remember what the matrix now describes so the next pass can
         // extend it instead of rebuilding.
-        let resumable = cfg.incremental && extras.is_empty() && matrix.eff_cache_complete();
+        let resumable = extras.is_empty() && matrix.eff_cache_complete();
         snap.capture(resumable, plan, &moves);
         moves
     }
@@ -500,7 +482,7 @@ impl PlacementPolicy for DynamicPlacement {
     /// fall back to the overhead-free column so feasible requests are never
     /// starved (DESIGN.md I9).
     fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
-        if self.compressed_wanted(view) {
+        if self.compressed_wanted() {
             let delta = self.pending_delta.take();
             // The compressed planner consumes the journal continuity; a
             // dense pass after this point must rebuild from scratch.
@@ -544,7 +526,7 @@ impl PlacementPolicy for DynamicPlacement {
     }
 
     fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
-        if self.compressed_wanted(view) {
+        if self.compressed_wanted() {
             let delta = self.pending_delta.take();
             self.snap.valid = false;
             let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
@@ -593,6 +575,34 @@ mod tests {
     use dvmp_cluster::vm::VmId;
     use dvmp_simcore::SimTime;
     use std::collections::BTreeMap;
+
+    /// The fresh-rebuild oracle: the dense reference planner behind a
+    /// wrapper that never forwards the fleet-delta journal, so every pass
+    /// rebuilds the matrix from scratch (see
+    /// `incremental_planner_handles_missing_journal`).
+    struct FreshEveryPass(DynamicPlacement);
+
+    impl PlacementPolicy for FreshEveryPass {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
+            self.0.place(view, vm)
+        }
+
+        fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
+            self.0.plan_migrations(view)
+        }
+
+        fn is_dynamic(&self) -> bool {
+            self.0.is_dynamic()
+        }
+    }
+
+    fn dense() -> DynamicPlacement {
+        DynamicPlacement::dense_reference(DynamicConfig::default())
+    }
 
     fn view_of<'a>(
         dc: &'a dvmp_cluster::datacenter::Datacenter,
@@ -854,14 +864,14 @@ mod tests {
             }
             (dc, vms)
         };
-        let mut reused = DynamicPlacement::paper_default();
+        let mut reused = dense();
         let (dc_a, vms_a) = build(false);
         let (dc_b, vms_b) = build(true);
         let first = reused.plan_migrations(&view_of(&dc_a, &vms_a, 0));
         let second = reused.plan_migrations(&view_of(&dc_b, &vms_b, 100));
 
-        let mut fresh_a = DynamicPlacement::paper_default();
-        let mut fresh_b = DynamicPlacement::paper_default();
+        let mut fresh_a = dense();
+        let mut fresh_b = dense();
         assert_eq!(first, fresh_a.plan_migrations(&view_of(&dc_a, &vms_a, 0)));
         assert_eq!(
             second,
@@ -892,9 +902,8 @@ mod tests {
         };
         let (dc1, vms1) = build();
         let (dc2, vms2) = build();
-        let mut fast = DynamicPlacement::paper_default();
-        let mut reference =
-            DynamicPlacement::paper_default().with_kernel(crate::matrix::MatrixKernel::Reference);
+        let mut fast = dense();
+        let mut reference = dense().with_kernel(crate::matrix::MatrixKernel::Reference);
         assert_eq!(
             fast.plan_migrations(&view_of(&dc1, &vms1, 0)),
             reference.plan_migrations(&view_of(&dc2, &vms2, 0))
@@ -938,8 +947,9 @@ mod tests {
     #[test]
     fn repair_heuristics_match_naive_full_rescan() {
         // Fragmented, stressed and mixed fleets: the cached-best repair
-        // (including its zero-entry skip) must yield exactly the naive
-        // planner's migration sequence on each.
+        // (including its zero-entry skip) of both the dense and the
+        // compressed planner must yield exactly the naive planner's
+        // migration sequence on each.
         let shapes: [&[u32]; 3] = [
             &[0, 1, 2, 3],
             &[0, 1, 2, 3, 0, 1, 2, 3, 0, 1],
@@ -961,12 +971,13 @@ mod tests {
             let view = view_of(&dc, &vms, 0);
             let mut plan = PlanState::from_view(&view, &cfg.min_vm);
             let expected = naive_plan(&cfg, &mut plan);
-            let mut policy = DynamicPlacement::paper_default();
-            assert_eq!(
-                policy.plan_migrations(&view),
-                expected,
-                "shape {shape_no}: repair loop diverged from full rescan"
-            );
+            for mut policy in [dense(), DynamicPlacement::paper_default()] {
+                assert_eq!(
+                    policy.plan_migrations(&view),
+                    expected,
+                    "shape {shape_no}: repair loop diverged from full rescan"
+                );
+            }
         }
     }
 
@@ -986,10 +997,8 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut inc = DynamicPlacement::paper_default();
-        let mut full_cfg = DynamicConfig::default();
-        full_cfg.incremental = false;
-        let mut full = DynamicPlacement::new(full_cfg);
+        let mut inc = dense();
+        let mut full = FreshEveryPass(dense());
 
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m1 = inc.plan_migrations(&view_of(&dc, &vms, 0));
@@ -1019,7 +1028,7 @@ mod tests {
         // Pass 3: the straggler departs again (journals its host PM 2,
         // which the pass-2 move endpoints already dirty), plus more time
         // decay. Dirty set: rows {PM 0, PM 2}, no surviving dirty column —
-        // 8 of 16 entries, exactly at the default 0.5 rebuild threshold.
+        // 8 of 16 entries, exactly at the 0.5 rebuild threshold.
         dc.remove_vm(VmId(9));
         vms.remove(&VmId(9));
         inc.note_fleet_delta(dc.take_fleet_delta());
@@ -1031,6 +1040,7 @@ mod tests {
             (2, 1),
             "pass 3 must take the incremental path too"
         );
+        assert_eq!(full.0.incremental_passes(), 0, "the oracle never patches");
     }
 
     #[test]
@@ -1048,7 +1058,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut policy = DynamicPlacement::paper_default();
+        let mut policy = dense();
         let first = policy.plan_migrations(&view_of(&dc, &vms, 0));
         assert_eq!(first.len(), 3);
         let again = policy.plan_migrations(&view_of(&dc, &vms, 0));

@@ -27,17 +27,20 @@
 //!   entry of each column, so [`normalized`] and [`best_move_for`] read
 //!   one cached value instead of re-indexing the host row per candidate.
 //!   The targeted recompute methods maintain it.
-//! - **Parallel build**: at or above `cfg.par_rows_cutoff` rows, a full
-//!   (re)build fans row chunks out across scoped threads. Each entry
-//!   depends only on the immutable plan, so the result is bit-identical
-//!   to the sequential fill.
+//! - **Screened best sweep**: the bulk per-column best search
+//!   ([`refill_best`] and the fused sweep of
+//!   [`update_incremental`]) screens entries [`LANES`] at a time against
+//!   each column's running best numerator and only hands possible winners
+//!   to the exact comparison, so it returns exactly what the per-column
+//!   [`best_move_for`] scan returns.
 //!
 //! [`recompute_row`]: ProbabilityMatrix::recompute_row
 //! [`recompute_col`]: ProbabilityMatrix::recompute_col
 //! [`normalized`]: ProbabilityMatrix::normalized
 //! [`best_move_for`]: ProbabilityMatrix::best_move_for
+//! [`refill_best`]: ProbabilityMatrix::refill_best
+//! [`update_incremental`]: ProbabilityMatrix::update_incremental
 
-use crate::config::DenseSweep;
 use crate::factors::class_table::{self, ClassTable};
 use crate::factors::{self, EvalContext};
 use crate::plan::PlanState;
@@ -98,9 +101,6 @@ pub struct ProbabilityMatrix {
     /// [`update_incremental`](ProbabilityMatrix::update_incremental).
     eff_complete: bool,
     kernel: MatrixKernel,
-    /// Dense bulk-sweep implementation (see [`DenseSweep`]); `Auto`
-    /// resolves to the lane-chunked screened sweep.
-    sweep: DenseSweep,
     /// Per-column running numerator maxima, scratch for the screened
     /// sweeps (kept in the struct so steady-state passes do not allocate).
     best_pv: Vec<f64>,
@@ -110,7 +110,7 @@ pub struct ProbabilityMatrix {
 /// and give the autovectorizer a fixed-trip inner compare loop.
 const LANES: usize = 8;
 
-/// One row of the screened bulk best sweep ([`DenseSweep::Simd`]).
+/// One row of the screened bulk best sweep.
 ///
 /// Columns are screened [`LANES`] at a time against the per-column running
 /// numerator maximum `best_pv`: within a column the denominator `host_p`
@@ -119,10 +119,10 @@ const LANES: usize = 8;
 /// `d > bd` update could never fire — the same argument the fused
 /// incremental sweep already relies on. Only chunks containing a potential
 /// winner fall through to the exact scalar update, which runs the same
-/// comparisons in the same column order as the scalar sweep, so the
-/// resulting `best` is bit-identical to [`DenseSweep::Scalar`] for any
-/// input (a host-row lane can trip the screen spuriously; the scalar
-/// fallthrough re-checks it).
+/// comparisons in the same column order as a plain scalar loop, so the
+/// resulting `best` is bit-identical to the per-column
+/// [`ProbabilityMatrix::best_move_for`] scan for any input (a host-row lane
+/// can trip the screen spuriously; the scalar fallthrough re-checks it).
 #[inline]
 fn sweep_row_screened(
     row: usize,
@@ -174,60 +174,10 @@ fn sweep_row_screened(
     }
 }
 
-/// The bulk best sweep over a contiguous row range — the scalar reference
-/// loop or the screened lane-chunked variant, selected by `simd`. Both
-/// produce bit-identical `best` contents (see [`sweep_row_screened`]);
-/// the scalar loop never reads or writes `best_pv`.
-#[allow(clippy::too_many_arguments)]
-fn sweep_range(
-    p: &[f64],
-    cols: usize,
-    rows: std::ops::Range<usize>,
-    host_p: &[f64],
-    hosts: &[u32],
-    best: &mut [Option<(usize, f64)>],
-    best_pv: &mut [f64],
-    simd: bool,
-) {
-    for row in rows {
-        let prow = &p[row * cols..][..cols];
-        if simd {
-            sweep_row_screened(row, prow, host_p, hosts, best, best_pv);
-            continue;
-        }
-        for (((&pv, &pc), &host), slot) in prow
-            .iter()
-            .zip(host_p.iter())
-            .zip(hosts.iter())
-            .zip(best.iter_mut())
-        {
-            if host as usize == row || pv <= 0.0 {
-                continue;
-            }
-            let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
-            if d > 0.0 && slot.map_or(true, |(_, bd)| d > bd) {
-                *slot = Some((row, d));
-            }
-        }
-    }
-}
-
-/// Number of worker threads a chunked (re)build uses for a `rows`-row
-/// matrix on this host: the available parallelism, clamped to at least 2
-/// chunks (so the chunked path and its determinism are always exercised
-/// when enabled) and at most one chunk per row. Public so `perf_report`
-/// can record the worker count the benchmarks actually ran with.
-pub fn parallel_workers(rows: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, rows.max(2))
-}
-
 /// Fills one PM row's entries into `out` (`out.len() == plan.vms.len()`),
 /// recording each entry's `p^eff` operand into `eff_out` when non-empty
 /// (`eff_out.len() == out.len()`; pass `&mut []` to skip recording). Free
-/// function so parallel builds can run it on disjoint row chunks.
+/// function so callers can split the matrix's field borrows.
 /// `vir_cache` is the class-major cache described on [`ProbabilityMatrix`]
 /// (unused — and allowed empty — under the reference kernel).
 #[allow(clippy::too_many_arguments)]
@@ -338,45 +288,7 @@ impl ProbabilityMatrix {
         if self.rows == 0 || self.cols == 0 {
             return;
         }
-        if self.rows >= ctx.cfg.par_rows_cutoff {
-            self.fill_parallel(plan, ctx);
-        } else {
-            let ProbabilityMatrix {
-                cols,
-                p,
-                eff,
-                class_table,
-                vir_cache,
-                kernel,
-                ..
-            } = self;
-            let mut eff_rows = eff.chunks_mut(*cols);
-            for (row, out) in p.chunks_mut(*cols).enumerate() {
-                let eff_out = eff_rows.next().unwrap_or(&mut []);
-                fill_row(
-                    out,
-                    eff_out,
-                    plan,
-                    ctx,
-                    row,
-                    class_table,
-                    vir_cache,
-                    *kernel,
-                );
-            }
-        }
-        for (col, vm) in plan.vms.iter().enumerate() {
-            self.host_p[col] = self.p[vm.host * self.cols + col];
-        }
-    }
-
-    /// Row-chunked parallel fill. Entries depend only on the immutable
-    /// plan and each thread writes a disjoint row range, so the result is
-    /// bit-identical to the sequential loop regardless of thread count or
-    /// interleaving.
-    fn fill_parallel(&mut self, plan: &PlanState, ctx: &EvalContext<'_>) {
         let ProbabilityMatrix {
-            rows,
             cols,
             p,
             eff,
@@ -385,35 +297,23 @@ impl ProbabilityMatrix {
             kernel,
             ..
         } = self;
-        let (rows, cols, kernel) = (*rows, *cols, *kernel);
-        let table = &*class_table;
-        let vir_cache = &*vir_cache;
-        let threads = parallel_workers(rows);
-        let chunk_rows = rows.div_ceil(threads);
-        let mut eff_chunks = eff.chunks_mut(chunk_rows * cols);
-        crossbeam::scope(|s| {
-            for (i, chunk) in p.chunks_mut(chunk_rows * cols).enumerate() {
-                let eff_chunk = eff_chunks.next().unwrap_or(&mut []);
-                let first_row = i * chunk_rows;
-                s.spawn(move |_| {
-                    let mut eff_rows = eff_chunk.chunks_mut(cols);
-                    for (j, out) in chunk.chunks_mut(cols).enumerate() {
-                        let eff_out = eff_rows.next().unwrap_or(&mut []);
-                        fill_row(
-                            out,
-                            eff_out,
-                            plan,
-                            ctx,
-                            first_row + j,
-                            table,
-                            vir_cache,
-                            kernel,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("matrix build worker panicked");
+        let mut eff_rows = eff.chunks_mut(*cols);
+        for (row, out) in p.chunks_mut(*cols).enumerate() {
+            let eff_out = eff_rows.next().unwrap_or(&mut []);
+            fill_row(
+                out,
+                eff_out,
+                plan,
+                ctx,
+                row,
+                class_table,
+                vir_cache,
+                *kernel,
+            );
+        }
+        for (col, vm) in plan.vms.iter().enumerate() {
+            self.host_p[col] = self.p[vm.host * self.cols + col];
+        }
     }
 
     /// The kernel this matrix evaluates entries with.
@@ -427,18 +327,6 @@ impl ProbabilityMatrix {
     /// bit-identical anyway; this keeps the invariant simple).
     pub fn set_kernel(&mut self, kernel: MatrixKernel) {
         self.kernel = kernel;
-    }
-
-    /// The dense bulk-sweep implementation this matrix runs.
-    pub fn sweep(&self) -> DenseSweep {
-        self.sweep
-    }
-
-    /// Selects the dense bulk-sweep implementation. Safe to flip at any
-    /// time: both sweeps produce bit-identical best caches (see
-    /// [`DenseSweep`]), this only changes how the work is executed.
-    pub fn set_sweep(&mut self, sweep: DenseSweep) {
-        self.sweep = sweep;
     }
 
     /// Number of PM rows.
@@ -652,90 +540,33 @@ impl ProbabilityMatrix {
 
     /// Refills the per-column best-move cache (`best[col]` =
     /// [`best_move_for`](Self::best_move_for)`(col)`) in one row-major
-    /// sweep over the matrix instead of N column-strided scans — the bulk
-    /// variant the planner runs once per pass after bringing the matrix up
-    /// to date. Element-wise identical to the per-column scan: rows are
-    /// visited in ascending order, so the strict `>` update keeps the same
-    /// lowest-row tie-break, and skipped entries (`p <= 0`) are exactly
-    /// those the per-column scan rejects with `d == 0`. Runs the sweep
-    /// implementation selected by [`set_sweep`](Self::set_sweep) — both
-    /// produce bit-identical caches.
+    /// screened sweep over the matrix instead of N column-strided scans —
+    /// the bulk variant the planner runs once per pass after bringing the
+    /// matrix up to date. Element-wise identical to the per-column scan:
+    /// rows are visited in ascending order, so the strict `>` update keeps
+    /// the same lowest-row tie-break, and skipped entries (`p <= 0`, or
+    /// no larger than the column's running best numerator) are exactly
+    /// those the per-column scan could not pick.
     pub fn refill_best(&mut self, plan: &PlanState, best: &mut Vec<Option<(usize, f64)>>) {
-        self.refill_best_sharded(plan, best, 1);
-    }
-
-    /// [`refill_best`](Self::refill_best) over `shards` contiguous row
-    /// ranges swept in parallel. Each shard fills a private best cache
-    /// over its ascending row range; shard caches are then merged in
-    /// shard order with the same strict-`>` rule the sequential sweep
-    /// applies, so the lowest-row tie-break survives sharding and the
-    /// result is bit-identical for every shard count (the global winner
-    /// lives in exactly one shard, where the in-shard ascending sweep
-    /// already picked its lowest row).
-    pub fn refill_best_sharded(
-        &mut self,
-        plan: &PlanState,
-        best: &mut Vec<Option<(usize, f64)>>,
-        shards: usize,
-    ) {
         let ProbabilityMatrix {
             rows,
             cols,
             p,
             host_p,
             hosts,
-            sweep,
             best_pv,
             ..
         } = self;
-        let (rows, cols) = (*rows, *cols);
+        let cols = *cols;
         best.clear();
         best.resize(cols, None);
         hosts.clear();
         hosts.extend(plan.vms.iter().map(|vm| vm.host as u32));
-        let simd = !matches!(*sweep, DenseSweep::Scalar);
-        let shards = shards.clamp(1, rows.max(1));
-        if shards <= 1 {
-            best_pv.clear();
-            best_pv.resize(cols, 0.0);
-            sweep_range(p, cols, 0..rows, host_p, hosts, best, best_pv, simd);
-            return;
-        }
-        let chunk = rows.div_ceil(shards);
-        let mut locals: Vec<Vec<Option<(usize, f64)>>> =
-            (0..shards).map(|_| vec![None; cols]).collect();
-        let (p, host_p, hosts_r) = (&*p, &*host_p, &*hosts);
-        crossbeam::scope(|s| {
-            for (i, local) in locals.iter_mut().enumerate() {
-                let lo = i * chunk;
-                let hi = ((i + 1) * chunk).min(rows);
-                s.spawn(move |_| {
-                    if lo >= hi {
-                        return;
-                    }
-                    let mut pv_scratch = vec![0.0f64; cols];
-                    sweep_range(
-                        p,
-                        cols,
-                        lo..hi,
-                        host_p,
-                        hosts_r,
-                        local,
-                        &mut pv_scratch,
-                        simd,
-                    );
-                });
-            }
-        })
-        .expect("best-sweep shard worker panicked");
-        for local in &locals {
-            for (slot, &cand) in best.iter_mut().zip(local.iter()) {
-                if let Some((row, d)) = cand {
-                    if slot.map_or(true, |(_, bd)| d > bd) {
-                        *slot = Some((row, d));
-                    }
-                }
-            }
+        best_pv.clear();
+        best_pv.resize(cols, 0.0);
+        for row in 0..*rows {
+            let prow = &p[row * cols..][..cols];
+            sweep_row_screened(row, prow, host_p, hosts, best, best_pv);
         }
     }
 
@@ -852,10 +683,8 @@ impl ProbabilityMatrix {
             vir_cache,
             hosts,
             kernel,
-            sweep,
             ..
         } = self;
-        let screened_sweep = !matches!(*sweep, DenseSweep::Scalar);
         let old_eff = &*eff_scratch;
         let use_vir = ctx.vir_enabled();
         let (use_rel, use_eff) = (ctx.cfg.use_rel, ctx.cfg.use_eff);
@@ -992,28 +821,7 @@ impl ProbabilityMatrix {
         for (row, out) in p.chunks_mut(cols).enumerate() {
             let eff_out = eff_rows.next().expect("eff buffer sized with p");
             if dirty_rows[row] {
-                if screened_sweep {
-                    // Lane-chunked variant of the loop below — identical
-                    // per-entry updates behind a `LANES`-wide screen.
-                    sweep_row_screened(row, out, hp, hosts_s, best, &mut best_pv);
-                    continue;
-                }
-                for ((((&pv, best_slot), &host), &pc), bpv) in out
-                    .iter()
-                    .zip(best.iter_mut())
-                    .zip(hosts_s)
-                    .zip(hp)
-                    .zip(best_pv.iter_mut())
-                {
-                    if host as usize == row || pv <= *bpv {
-                        continue;
-                    }
-                    let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
-                    if d > 0.0 && best_slot.map_or(true, |(_, bd)| d > bd) {
-                        *best_slot = Some((row, d));
-                        *bpv = pv;
-                    }
-                }
+                sweep_row_screened(row, out, hp, hosts_s, best, &mut best_pv);
                 continue;
             }
             let pm = &plan.pms[row];
@@ -1274,26 +1082,6 @@ mod tests {
                     .map(|(r, d)| (r, d.to_bits()))
             );
         }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let (plan, mut cfg) = build_fixture();
-        // Sequential: cutoff above the fleet size.
-        cfg.par_rows_cutoff = usize::MAX;
-        let seq = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-        // Parallel: cutoff 1 forces the chunked path even on this 4-row
-        // fixture (at least 2 chunks, since threads are clamped to >= 2).
-        cfg.par_rows_cutoff = 1;
-        let par = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-        assert_bit_identical(&seq, &par);
-        // Same with the reference kernel.
-        let par_ref = ProbabilityMatrix::build_with_kernel(
-            &plan,
-            &EvalContext::new(&cfg),
-            MatrixKernel::Reference,
-        );
-        assert_bit_identical(&seq, &par_ref);
     }
 
     #[test]
@@ -1585,59 +1373,30 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn screened_sweep_is_bit_identical_to_scalar() {
-        let (plan, cfg) = wide_fixture();
-        let ctx = EvalContext::new(&cfg);
-        let mut m = ProbabilityMatrix::build(&plan, &ctx);
-        assert_eq!(m.sweep(), DenseSweep::Auto);
-        let mut scalar = Vec::new();
-        m.set_sweep(DenseSweep::Scalar);
-        m.refill_best(&plan, &mut scalar);
-        let mut simd = Vec::new();
-        m.set_sweep(DenseSweep::Simd);
-        m.refill_best(&plan, &mut simd);
-        assert_eq!(best_bits(&scalar), best_bits(&simd));
-        // Both agree with the per-column scan, the ground truth.
-        for (col, b) in simd.iter().enumerate() {
-            assert_eq!(
-                b.map(|(r, d)| (r, d.to_bits())),
-                m.best_move_for(&plan, col).map(|(r, d)| (r, d.to_bits())),
-                "column {col}"
-            );
-        }
+    /// The per-column scalar scan over every column, the ground truth the
+    /// screened bulk sweeps must reproduce bit for bit.
+    fn scalar_scan(m: &ProbabilityMatrix, plan: &PlanState) -> Vec<Option<(usize, u64)>> {
+        (0..m.cols())
+            .map(|col| m.best_move_for(plan, col).map(|(r, d)| (r, d.to_bits())))
+            .collect()
     }
 
     #[test]
-    fn sharded_sweep_is_shard_count_invariant() {
+    fn screened_sweep_is_bit_identical_to_scalar() {
+        // 27 columns: three full `LANES` chunks plus a scalar tail.
         let (plan, cfg) = wide_fixture();
         let ctx = EvalContext::new(&cfg);
         let mut m = ProbabilityMatrix::build(&plan, &ctx);
-        for sweep in [DenseSweep::Scalar, DenseSweep::Simd] {
-            m.set_sweep(sweep);
-            let mut reference = Vec::new();
-            m.refill_best_sharded(&plan, &mut reference, 1);
-            // Shard counts above the row count clamp to one row per shard.
-            for shards in [2, 3, 7, 16, 64] {
-                let mut sharded = Vec::new();
-                m.refill_best_sharded(&plan, &mut sharded, shards);
-                assert_eq!(
-                    best_bits(&reference),
-                    best_bits(&sharded),
-                    "{sweep:?} x {shards} shards"
-                );
-            }
-        }
+        let mut screened = Vec::new();
+        m.refill_best(&plan, &mut screened);
+        assert_eq!(best_bits(&screened), scalar_scan(&m, &plan));
     }
 
     #[test]
     fn incremental_update_screened_sweep_matches_scalar() {
         let (mut plan, cfg) = wide_fixture();
         let ctx = EvalContext::new(&cfg);
-        let mut scalar_m = ProbabilityMatrix::build(&plan, &ctx);
-        scalar_m.set_sweep(DenseSweep::Scalar);
-        let mut simd_m = ProbabilityMatrix::build(&plan, &ctx);
-        simd_m.set_sweep(DenseSweep::Simd);
+        let mut m = ProbabilityMatrix::build(&plan, &ctx);
         // Footprint drift plus one migration: dirty endpoints + column.
         for vm in &mut plan.vms {
             vm.remaining_secs -= 1_000;
@@ -1649,27 +1408,19 @@ mod tests {
         let row_src: Vec<u32> = (0..rows as u32).collect();
         let dirty_cols: Vec<bool> = (0..cols).map(|c| c == 0).collect();
         let col_src: Vec<u32> = (0..cols as u32).collect();
-        let mut scalar_best = Vec::new();
-        let mut simd_best = Vec::new();
-        assert!(scalar_m.update_incremental(
+        let mut fused = Vec::new();
+        assert!(m.update_incremental(
             &plan,
             &ctx,
             &dirty_rows,
             &row_src,
             &dirty_cols,
             &col_src,
-            &mut scalar_best,
+            &mut fused,
         ));
-        assert!(simd_m.update_incremental(
-            &plan,
-            &ctx,
-            &dirty_rows,
-            &row_src,
-            &dirty_cols,
-            &col_src,
-            &mut simd_best,
-        ));
-        assert_bit_identical(&scalar_m, &simd_m);
-        assert_eq!(best_bits(&scalar_best), best_bits(&simd_best));
+        assert_bit_identical(&m, &ProbabilityMatrix::build(&plan, &ctx));
+        // Dirty rows go through the screened sweep, clean rows through the
+        // fused refresh; both must agree with the scalar per-column scan.
+        assert_eq!(best_bits(&fused), scalar_scan(&m, &plan));
     }
 }

@@ -6,10 +6,10 @@
 //! the real [`Datacenter`] mutation API so every change flows through the
 //! fleet-delta journal — are driven through two planners in lockstep:
 //!
-//! 1. at the **policy** level, an incremental [`DynamicPlacement`] (fed the
-//!    drained journal each pass, with fallback disabled so every pass after
-//!    the first takes the delta path) against a forced fresh-rebuild twin:
-//!    every pass must propose the identical migration sequence;
+//! 1. at the **policy** level, the dense delta planner (fed the drained
+//!    journal each pass) and the production planner against a fresh-
+//!    rebuild twin that never sees the journal: every pass must propose
+//!    the identical migration sequence;
 //! 2. at the **matrix** level, a persistent [`ProbabilityMatrix`] updated
 //!    via [`ProbabilityMatrix::update_incremental`] against a fresh
 //!    [`ProbabilityMatrix::build`]: every entry and every best-candidate
@@ -22,8 +22,7 @@ use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
 use dvmp_placement::factors::EvalContext;
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::{
-    DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView, PlanKernel,
-    ProbabilityMatrix,
+    DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView, ProbabilityMatrix,
 };
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -209,24 +208,16 @@ fn best_bits(best: &[Option<(usize, f64)>]) -> Vec<Option<(usize, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The incremental planner proposes the exact migration sequence of a
+    /// The dense delta planner proposes the exact migration sequence of a
     /// fresh-rebuild planner on every pass of every random fleet history.
+    /// The fresh twin is never handed the journal, so each of its passes
+    /// rebuilds the matrix from scratch.
     #[test]
     fn incremental_planner_matches_fresh_rebuild(history in history_strategy()) {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
-        // Fallback disabled: every pass after the first must take the
-        // incremental path, maximizing coverage of the delta machinery.
-        let inc_cfg = DynamicConfig {
-            rebuild_threshold: 1.0,
-            ..DynamicConfig::default()
-        };
-        let mut inc = DynamicPlacement::new(inc_cfg);
-        let full_cfg = DynamicConfig {
-            incremental: false,
-            ..DynamicConfig::default()
-        };
-        let mut full = DynamicPlacement::new(full_cfg);
+        let mut inc = DynamicPlacement::dense_reference(DynamicConfig::default());
+        let mut full = DynamicPlacement::dense_reference(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         // Passes where the planner actually plans (it skips degenerate
@@ -249,12 +240,12 @@ proptest! {
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();
         }
-        // The guard above is only meaningful if the delta path actually
-        // ran: the first real pass is the lone full build, every later
-        // real pass is delta (degenerate passes plan nothing and carry the
-        // accumulated journal forward).
-        prop_assert_eq!(inc.incremental_passes(), real_passes.saturating_sub(1));
-        prop_assert_eq!(inc.full_rebuilds(), real_passes.min(1));
+        // Every real pass either patched or rebuilt (degenerate passes
+        // plan nothing and carry the accumulated journal forward); the
+        // first real pass always builds, and the twin never patches.
+        prop_assert_eq!(inc.incremental_passes() + inc.full_rebuilds(), real_passes);
+        prop_assert!(inc.full_rebuilds() >= real_passes.min(1));
+        prop_assert_eq!(full.incremental_passes(), 0);
     }
 
     /// The class-compressed kernel proposes the exact migration sequence
@@ -266,16 +257,8 @@ proptest! {
     fn compressed_kernel_matches_dense(history in history_strategy()) {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
-        let comp_cfg = DynamicConfig {
-            plan_kernel: PlanKernel::Compressed,
-            ..DynamicConfig::default()
-        };
-        let mut comp = DynamicPlacement::new(comp_cfg);
-        let dense_cfg = DynamicConfig {
-            incremental: false,
-            ..DynamicConfig::default()
-        };
-        let mut dense = DynamicPlacement::new(dense_cfg);
+        let mut comp = DynamicPlacement::paper_default();
+        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         for (pass, ops) in history.iter().enumerate() {

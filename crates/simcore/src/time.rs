@@ -55,6 +55,16 @@ impl SimTime {
         SimTime(days * 86_400)
     }
 
+    /// [`SimTime::from_days`], or `None` when the instant overflows the
+    /// clock.
+    #[inline]
+    pub const fn checked_from_days(days: u64) -> Option<Self> {
+        match days.checked_mul(86_400) {
+            Some(secs) => Some(SimTime(secs)),
+            None => None,
+        }
+    }
+
     /// Seconds since the epoch.
     #[inline]
     pub const fn as_secs(self) -> u64 {

@@ -19,7 +19,7 @@ use dvmp_cluster::pm::PmState;
 use dvmp_cluster::reliability::ReliabilityModel;
 use std::collections::BTreeMap;
 
-/// One forced-compressed plan pass over a powered-on copy of `fleet`
+/// One plan pass of the production planner over a powered-on copy of `fleet`
 /// with no VMs: registers every PM's superclass at `tolerance` and
 /// reports `(C, poisoned)` — the same probe `perf_report` attaches to
 /// every scaling row.
@@ -36,7 +36,6 @@ fn probe(fleet: &Datacenter, tolerance: f64) -> (usize, bool) {
         now: dvmp_simcore::SimTime::from_secs(0),
     };
     let mut policy = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
         class_tolerance: tolerance,
         ..DynamicConfig::default()
     });

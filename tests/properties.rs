@@ -13,6 +13,30 @@ use dvmp_placement::ProbabilityMatrix;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// The dynamic scheme kept from the fleet-delta journal: every
+/// `note_fleet_delta` is dropped, so each planning pass starts from fresh
+/// state (the dense planner rebuilds its matrix, the compressed planner
+/// rebuilds its mirror of the fleet).
+struct WithoutJournal(DynamicPlacement);
+
+impl PlacementPolicy for WithoutJournal {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
+        self.0.place(view, vm)
+    }
+
+    fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
+        self.0.plan_migrations(view)
+    }
+
+    fn is_dynamic(&self) -> bool {
+        self.0.is_dynamic()
+    }
+}
+
 /// A hostile dynamic policy: places like first-fit, but answers every
 /// consolidation trigger with one migration proposal per running VM whose
 /// destination — and sometimes claimed source — is chosen from a random
@@ -298,12 +322,14 @@ proptest! {
     // Each case runs the same day four times; keep the budget modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Elastic histories are kernel- and planner-invariant: a random
+    /// Elastic, heterogeneous histories are planner-invariant: a random
     /// request stream plus a random resize history (grows, shrinks,
     /// no-ops, resizes aimed at queued or departed VMs), optionally under
-    /// random overbooking ratios, produces bit-identical reports whether
-    /// the dynamic scheme plans on the dense or the class-compressed
-    /// kernel, incrementally or with per-interval fresh rebuilds — and
+    /// random overbooking ratios and on a fleet whose reliabilities are
+    /// drawn from a continuum (jittered or age-decayed) with a shared
+    /// `class_tolerance`, produces bit-identical reports on the
+    /// production planner and on the dense reference — each fed the
+    /// fleet-delta journal or kept from it (fresh state every pass) — and
     /// the checked-mode oracle stays clean in all four runs.
     #[test]
     fn elastic_histories_are_kernel_and_planner_invariant(
@@ -313,6 +339,8 @@ proptest! {
             1..24,
         ),
         overbook_dial in any::<u16>(),
+        hetero_dial in any::<u16>(),
+        fleet_seed in any::<u64>(),
     ) {
         // A quarter of the cases run without overbooking; the rest draw
         // per-dimension ratios from [100, 300).
@@ -324,6 +352,18 @@ proptest! {
                 100 + (u32::from(overbook_dial) / 7) % 200,
             ))
         };
+        // A third of the cases keep the uniform class reliabilities.
+        let model = match hetero_dial % 3 {
+            0 => None,
+            1 => Some(ReliabilityModel::Jittered {
+                spread: 0.001 + f64::from(hetero_dial % 40) * 0.0001,
+            }),
+            _ => Some(ReliabilityModel::AgeDecaying {
+                max_age_years: 1.0 + f64::from(hetero_dial % 7),
+                annual_decay: 0.002 + f64::from(hetero_dial % 11) * 0.001,
+            }),
+        };
+        let tolerance = [0.0, 0.01, 0.05][usize::from(hetero_dial / 3) % 3];
         let mut requests = Vec::new();
         for (i, s) in seeds.iter().enumerate() {
             requests.push(VmSpec::exact(
@@ -343,7 +383,7 @@ proptest! {
             })
             .collect();
 
-        let run = |kernel: PlanKernel, full_replan: bool| {
+        let run = |production: bool, journal: bool| {
             let fleet = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 3, 0.99)
                 .add_class(PmClass::paper_slow(), 3, 0.95)
@@ -351,20 +391,32 @@ proptest! {
             let mut sim = SimConfig::default();
             sim.horizon = SimTime::from_days(1);
             sim.checked = true;
+            sim.seed = fleet_seed;
             let mut scenario = Scenario::new("elastic-prop", fleet, requests.clone(), sim)
                 .with_resize_requests(resizes.clone());
+            if let Some(model) = model {
+                scenario = scenario.with_reliability(model);
+            }
             if let Some((cpu, mem)) = overbook {
                 scenario = scenario.with_overbooking(OverbookRatios::cpu_mem(cpu, mem));
             }
             let cfg = DynamicConfig {
-                plan_kernel: kernel,
-                incremental: !full_replan,
+                class_tolerance: tolerance,
                 ..DynamicConfig::default()
             };
-            scenario.run(Box::new(DynamicPlacement::new(cfg)))
+            let policy = if production {
+                DynamicPlacement::new(cfg)
+            } else {
+                DynamicPlacement::dense_reference(cfg)
+            };
+            if journal {
+                scenario.run(Box::new(policy))
+            } else {
+                scenario.run(Box::new(WithoutJournal(policy)))
+            }
         };
 
-        let base = run(PlanKernel::Dense, false);
+        let base = run(false, true);
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         // Every in-horizon resize is accounted for, applied or rejected.
@@ -375,114 +427,17 @@ proptest! {
         prop_assert!(base.total_resizes + base.rejected_resizes <= in_horizon);
 
         let base_json = serde_json::to_string(&base).expect("report serializes");
-        for (kernel, full_replan) in [
-            (PlanKernel::Dense, true),
-            (PlanKernel::Compressed, false),
-            (PlanKernel::Compressed, true),
-        ] {
-            let other = run(kernel, full_replan);
+        for (production, journal) in [(false, false), (true, true), (true, false)] {
+            let other = run(production, journal);
             let other_oracle = other.oracle.as_ref().expect("checked");
             prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
             let other_json = serde_json::to_string(&other).expect("report serializes");
             prop_assert_eq!(
                 &base_json,
                 &other_json,
-                "report diverged under kernel {:?}, full_replan {}",
-                kernel,
-                full_replan
-            );
-        }
-    }
-
-    /// Heterogeneous fleets are kernel-, sweep- and shard-invariant: with
-    /// every PM's reliability drawn from a continuum (jittered or
-    /// age-decayed) and a shared `class_tolerance`, a random elastic
-    /// history produces bit-identical reports on the dense scalar sweep,
-    /// the SIMD sweep, the sharded sweep and the class-compressed kernel —
-    /// and the checked-mode oracle stays clean throughout. The quantized
-    /// choke point is the whole contract: every kernel sees the same
-    /// bucketed scores, so heterogeneity cannot open a divergence.
-    #[test]
-    fn heterogeneous_fleets_are_kernel_sweep_and_shard_invariant(
-        seeds in prop::collection::vec(any::<u32>(), 4..14),
-        resize_dials in prop::collection::vec(
-            (any::<u8>(), 1u64..6, 64u64..4_096, 0u32..80_000),
-            0..12,
-        ),
-        hetero_dial in any::<u16>(),
-        fleet_seed in any::<u64>(),
-    ) {
-        let model = if hetero_dial % 2 == 0 {
-            ReliabilityModel::Jittered {
-                spread: 0.001 + f64::from(hetero_dial % 40) * 0.0001,
-            }
-        } else {
-            ReliabilityModel::AgeDecaying {
-                max_age_years: 1.0 + f64::from(hetero_dial % 7),
-                annual_decay: 0.002 + f64::from(hetero_dial % 11) * 0.001,
-            }
-        };
-        let tolerance = [0.0, 0.01, 0.05][usize::from(hetero_dial) % 3];
-        let mut requests = Vec::new();
-        for (i, s) in seeds.iter().enumerate() {
-            requests.push(VmSpec::exact(
-                VmId(i as u32 + 1),
-                SimTime::from_secs((*s as u64) % 40_000),
-                ResourceVector::cpu_mem(1, 128 + (*s as u64 % 1_500)),
-                SimDuration::from_secs(20_000 + (*s as u64 % 40_000)),
-            ));
-        }
-        let n = requests.len() as u32;
-        let resizes: Vec<ResizeRequest> = resize_dials
-            .iter()
-            .map(|&(vm_dial, cores, mem, at)| ResizeRequest {
-                vm: VmId(u32::from(vm_dial) % n + 1),
-                at: SimTime::from_secs(at as u64),
-                new_demand: ResourceVector::cpu_mem(cores, mem),
-            })
-            .collect();
-
-        let run = |kernel: PlanKernel, sweep: DenseSweep, shards: usize| {
-            let fleet = FleetBuilder::new()
-                .add_class(PmClass::paper_fast(), 3, 0.99)
-                .add_class(PmClass::paper_slow(), 3, 0.95)
-                .build();
-            let mut sim = SimConfig::default();
-            sim.horizon = SimTime::from_days(1);
-            sim.checked = true;
-            sim.seed = fleet_seed;
-            let scenario = Scenario::new("hetero-prop", fleet, requests.clone(), sim)
-                .with_reliability(model)
-                .with_resize_requests(resizes.clone());
-            let cfg = DynamicConfig {
-                plan_kernel: kernel,
-                class_tolerance: tolerance,
-                dense_sweep: sweep,
-                plan_shards: shards,
-                ..DynamicConfig::default()
-            };
-            scenario.run(Box::new(DynamicPlacement::new(cfg)))
-        };
-
-        let base = run(PlanKernel::Dense, DenseSweep::Scalar, 0);
-        let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
-        prop_assert!(oracle.is_clean(), "{}", oracle.render());
-        let base_json = serde_json::to_string(&base).expect("report serializes");
-        for (label, kernel, sweep, shards) in [
-            ("simd", PlanKernel::Dense, DenseSweep::Simd, 0),
-            ("sharded", PlanKernel::Dense, DenseSweep::Simd, 3),
-            ("compressed", PlanKernel::Compressed, DenseSweep::Auto, 0),
-            ("compressed-sharded", PlanKernel::Compressed, DenseSweep::Auto, 5),
-        ] {
-            let other = run(kernel, sweep, shards);
-            let other_oracle = other.oracle.as_ref().expect("checked");
-            prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
-            let other_json = serde_json::to_string(&other).expect("report serializes");
-            prop_assert_eq!(
-                &base_json,
-                &other_json,
-                "report diverged under {} (tolerance {}, model {:?})",
-                label,
+                "report diverged: production {}, journal {} (tolerance {}, model {:?})",
+                production,
+                journal,
                 tolerance,
                 model
             );

@@ -167,21 +167,35 @@ mod tests {
         assert!(c.validate().is_ok());
     }
 
-    #[test]
-    fn configs_serialized_with_retired_perf_knobs_still_load() {
-        // Configs serialized while the perf-only knobs existed carry their
-        // keys; the knobs changed no output, so such a config must load
-        // to the same planner configuration as one without them.
+    /// Loads the default config serialized with `retired` spliced in, as
+    /// written while those perf-only knobs existed. The knobs changed no
+    /// output, so such a config must load to the default planner
+    /// configuration — and so must today's form, which lacks them.
+    fn assert_retired_keys_load_to_default(retired: &str) {
         let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
-        let legacy = full.replacen(
-            '{',
-            "{\"par_rows_cutoff\":1024,\"incremental\":false,\"rebuild_threshold\":0.5,\
-             \"plan_kernel\":\"Dense\",\"plan_shards\":4,\"dense_sweep\":\"Scalar\",",
-            1,
-        );
+        let legacy = full.replacen('{', &format!("{{{retired},"), 1);
         assert_ne!(legacy, full);
-        let c: DynamicConfig = serde_json::from_str(&legacy).expect("legacy config parses");
-        assert_eq!(c, DynamicConfig::default());
+        for text in [&legacy, &full] {
+            let c: DynamicConfig = serde_json::from_str(text).expect("config parses");
+            assert_eq!(c, DynamicConfig::default());
+        }
+    }
+
+    #[test]
+    fn par_rows_cutoff_defaults_when_absent_from_serialized_form() {
+        assert_retired_keys_load_to_default("\"par_rows_cutoff\":1024");
+    }
+
+    #[test]
+    fn incremental_knobs_default_when_absent_from_serialized_form() {
+        assert_retired_keys_load_to_default("\"incremental\":false,\"rebuild_threshold\":0.5");
+    }
+
+    #[test]
+    fn plan_kernel_defaults_when_absent_from_serialized_form() {
+        assert_retired_keys_load_to_default(
+            "\"plan_kernel\":\"Dense\",\"plan_shards\":4,\"dense_sweep\":\"Scalar\"",
+        );
     }
 
     #[test]

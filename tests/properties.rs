@@ -322,12 +322,10 @@ proptest! {
     // Each case runs the same day four times; keep the budget modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Elastic, heterogeneous histories are planner-invariant: a random
+    /// Elastic histories are kernel- and planner-invariant: a random
     /// request stream plus a random resize history (grows, shrinks,
     /// no-ops, resizes aimed at queued or departed VMs), optionally under
-    /// random overbooking ratios and on a fleet whose reliabilities are
-    /// drawn from a continuum (jittered or age-decayed) with a shared
-    /// `class_tolerance`, produces bit-identical reports on the
+    /// random overbooking ratios, produces bit-identical reports on the
     /// production planner and on the dense reference — each fed the
     /// fleet-delta journal or kept from it (fresh state every pass) — and
     /// the checked-mode oracle stays clean in all four runs.
@@ -339,8 +337,6 @@ proptest! {
             1..24,
         ),
         overbook_dial in any::<u16>(),
-        hetero_dial in any::<u16>(),
-        fleet_seed in any::<u64>(),
     ) {
         // A quarter of the cases run without overbooking; the rest draw
         // per-dimension ratios from [100, 300).
@@ -352,68 +348,20 @@ proptest! {
                 100 + (u32::from(overbook_dial) / 7) % 200,
             ))
         };
-        // A third of the cases keep the uniform class reliabilities.
-        let model = match hetero_dial % 3 {
-            0 => None,
-            1 => Some(ReliabilityModel::Jittered {
-                spread: 0.001 + f64::from(hetero_dial % 40) * 0.0001,
-            }),
-            _ => Some(ReliabilityModel::AgeDecaying {
-                max_age_years: 1.0 + f64::from(hetero_dial % 7),
-                annual_decay: 0.002 + f64::from(hetero_dial % 11) * 0.001,
-            }),
-        };
-        let tolerance = [0.0, 0.01, 0.05][usize::from(hetero_dial / 3) % 3];
-        let mut requests = Vec::new();
-        for (i, s) in seeds.iter().enumerate() {
-            requests.push(VmSpec::exact(
-                VmId(i as u32 + 1),
-                SimTime::from_secs((*s as u64) % 40_000),
-                ResourceVector::cpu_mem(1, 128 + (*s as u64 % 1_500)),
-                SimDuration::from_secs(20_000 + (*s as u64 % 40_000)),
-            ));
-        }
-        let n = requests.len() as u32;
-        let resizes: Vec<ResizeRequest> = resize_dials
-            .iter()
-            .map(|&(vm_dial, cores, mem, at)| ResizeRequest {
-                vm: VmId(u32::from(vm_dial) % n + 1),
-                at: SimTime::from_secs(at as u64),
-                new_demand: ResourceVector::cpu_mem(cores, mem),
-            })
-            .collect();
+        let requests = elastic_requests(&seeds);
+        let resizes = elastic_resizes(&resize_dials, requests.len() as u32);
 
         let run = |production: bool, journal: bool| {
-            let fleet = FleetBuilder::new()
-                .add_class(PmClass::paper_fast(), 3, 0.99)
-                .add_class(PmClass::paper_slow(), 3, 0.95)
-                .build();
             let mut sim = SimConfig::default();
             sim.horizon = SimTime::from_days(1);
             sim.checked = true;
-            sim.seed = fleet_seed;
-            let mut scenario = Scenario::new("elastic-prop", fleet, requests.clone(), sim)
-                .with_resize_requests(resizes.clone());
-            if let Some(model) = model {
-                scenario = scenario.with_reliability(model);
-            }
+            let mut scenario =
+                Scenario::new("elastic-prop", two_class_fleet(), requests.clone(), sim)
+                    .with_resize_requests(resizes.clone());
             if let Some((cpu, mem)) = overbook {
                 scenario = scenario.with_overbooking(OverbookRatios::cpu_mem(cpu, mem));
             }
-            let cfg = DynamicConfig {
-                class_tolerance: tolerance,
-                ..DynamicConfig::default()
-            };
-            let policy = if production {
-                DynamicPlacement::new(cfg)
-            } else {
-                DynamicPlacement::dense_reference(cfg)
-            };
-            if journal {
-                scenario.run(Box::new(policy))
-            } else {
-                scenario.run(Box::new(WithoutJournal(policy)))
-            }
+            run_planner(&scenario, DynamicConfig::default(), production, journal)
         };
 
         let base = run(false, true);
@@ -435,6 +383,74 @@ proptest! {
             prop_assert_eq!(
                 &base_json,
                 &other_json,
+                "report diverged: production {}, journal {}",
+                production,
+                journal
+            );
+        }
+    }
+
+    /// Heterogeneous fleets are kernel- and sweep-invariant: with every
+    /// PM's reliability drawn from a continuum (jittered or age-decayed)
+    /// and a shared `class_tolerance`, a random elastic history produces
+    /// bit-identical reports on the production (class-compressed) planner
+    /// and on the dense reference with its screened sweep — each fed the
+    /// fleet-delta journal or kept from it — and the checked-mode oracle
+    /// stays clean throughout. The quantized choke point is the whole
+    /// contract: every kernel sees the same bucketed scores, so
+    /// heterogeneity cannot open a divergence. The planner sweeps on one
+    /// shard only, so shard invariance holds by construction.
+    #[test]
+    fn heterogeneous_fleets_are_kernel_sweep_and_shard_invariant(
+        seeds in prop::collection::vec(any::<u32>(), 4..14),
+        resize_dials in prop::collection::vec(
+            (any::<u8>(), 1u64..6, 64u64..4_096, 0u32..80_000),
+            0..12,
+        ),
+        hetero_dial in any::<u16>(),
+        fleet_seed in any::<u64>(),
+    ) {
+        let model = if hetero_dial % 2 == 0 {
+            ReliabilityModel::Jittered {
+                spread: 0.001 + f64::from(hetero_dial % 40) * 0.0001,
+            }
+        } else {
+            ReliabilityModel::AgeDecaying {
+                max_age_years: 1.0 + f64::from(hetero_dial % 7),
+                annual_decay: 0.002 + f64::from(hetero_dial % 11) * 0.001,
+            }
+        };
+        let tolerance = [0.0, 0.01, 0.05][usize::from(hetero_dial) % 3];
+        let requests = elastic_requests(&seeds);
+        let resizes = elastic_resizes(&resize_dials, requests.len() as u32);
+
+        let run = |production: bool, journal: bool| {
+            let mut sim = SimConfig::default();
+            sim.horizon = SimTime::from_days(1);
+            sim.checked = true;
+            sim.seed = fleet_seed;
+            let scenario = Scenario::new("hetero-prop", two_class_fleet(), requests.clone(), sim)
+                .with_reliability(model)
+                .with_resize_requests(resizes.clone());
+            let cfg = DynamicConfig {
+                class_tolerance: tolerance,
+                ..DynamicConfig::default()
+            };
+            run_planner(&scenario, cfg, production, journal)
+        };
+
+        let base = run(false, true);
+        let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
+        prop_assert!(oracle.is_clean(), "{}", oracle.render());
+        let base_json = serde_json::to_string(&base).expect("report serializes");
+        for (production, journal) in [(false, false), (true, true), (true, false)] {
+            let other = run(production, journal);
+            let other_oracle = other.oracle.as_ref().expect("checked");
+            prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
+            let other_json = serde_json::to_string(&other).expect("report serializes");
+            prop_assert_eq!(
+                &base_json,
+                &other_json,
                 "report diverged: production {}, journal {} (tolerance {}, model {:?})",
                 production,
                 journal,
@@ -442,5 +458,61 @@ proptest! {
                 model
             );
         }
+    }
+}
+
+/// The six-PM, two-class fleet the elastic proptests run on.
+fn two_class_fleet() -> Datacenter {
+    FleetBuilder::new()
+        .add_class(PmClass::paper_fast(), 3, 0.99)
+        .add_class(PmClass::paper_slow(), 3, 0.95)
+        .build()
+}
+
+/// One small VM per seed, arriving and departing within the first day.
+fn elastic_requests(seeds: &[u32]) -> Vec<VmSpec> {
+    seeds
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            VmSpec::exact(
+                VmId(i as u32 + 1),
+                SimTime::from_secs((*s as u64) % 40_000),
+                ResourceVector::cpu_mem(1, 128 + (*s as u64 % 1_500)),
+                SimDuration::from_secs(20_000 + (*s as u64 % 40_000)),
+            )
+        })
+        .collect()
+}
+
+/// Resize requests aimed at the `n` VMs of `elastic_requests`.
+fn elastic_resizes(dials: &[(u8, u64, u64, u32)], n: u32) -> Vec<ResizeRequest> {
+    dials
+        .iter()
+        .map(|&(vm_dial, cores, mem, at)| ResizeRequest {
+            vm: VmId(u32::from(vm_dial) % n + 1),
+            at: SimTime::from_secs(at as u64),
+            new_demand: ResourceVector::cpu_mem(cores, mem),
+        })
+        .collect()
+}
+
+/// Runs `scenario` on the production planner or on the dense reference,
+/// fed the fleet-delta journal or kept from it.
+fn run_planner(
+    scenario: &Scenario,
+    cfg: DynamicConfig,
+    production: bool,
+    journal: bool,
+) -> RunReport {
+    let policy = if production {
+        DynamicPlacement::new(cfg)
+    } else {
+        DynamicPlacement::dense_reference(cfg)
+    };
+    if journal {
+        scenario.run(Box::new(policy))
+    } else {
+        scenario.run(Box::new(WithoutJournal(policy)))
     }
 }

@@ -24,6 +24,12 @@ use dvmp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// The longest horizon a spec may ask for, in days (ten years). The
+/// simulator samples the fleet every control interval to the horizon, so
+/// run time grows with `days` even after the workload has drained; the
+/// paper's experiment is one week and the SWF traces span months.
+pub const MAX_HORIZON_DAYS: u64 = 3_650;
+
 /// Why a [`ScenarioSpec`] does not build into a runnable scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
@@ -43,6 +49,11 @@ pub enum SpecError {
     },
     /// `days` puts the horizon past the end of the simulation clock.
     HorizonOverflow {
+        /// The requested day count.
+        days: u64,
+    },
+    /// `days` is representable but longer than [`MAX_HORIZON_DAYS`].
+    HorizonTooLong {
         /// The requested day count.
         days: u64,
     },
@@ -67,6 +78,10 @@ impl fmt::Display for SpecError {
             SpecError::HorizonOverflow { days } => {
                 write!(f, "workload days {days} overflow the simulation clock")
             }
+            SpecError::HorizonTooLong { days } => write!(
+                f,
+                "workload days {days} exceed the maximum horizon of {MAX_HORIZON_DAYS} days"
+            ),
             SpecError::Invalid(msg) => f.write_str(msg),
         }
     }
@@ -320,6 +335,9 @@ impl ScenarioSpec {
         let days = self.workload.days;
         if SimTime::checked_from_days(days).is_none() {
             return Err(SpecError::HorizonOverflow { days });
+        }
+        if days > MAX_HORIZON_DAYS {
+            return Err(SpecError::HorizonTooLong { days });
         }
         let fleet = if self.fleet.is_empty() {
             paper_fleet()
@@ -631,10 +649,35 @@ mod tests {
                 Err(SpecError::HorizonOverflow { days })
             );
         }
-        // The last representable day count passes the check.
+        // The last representable day count no longer overflows; it is
+        // rejected as too long instead.
         let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
         spec.workload.days = u64::MAX / 86_400;
+        assert_eq!(
+            spec.build().map(|_| ()),
+            Err(SpecError::HorizonTooLong {
+                days: u64::MAX / 86_400
+            })
+        );
+    }
+
+    #[test]
+    fn horizon_past_the_maximum_errors_cleanly() {
+        let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
+        for days in [MAX_HORIZON_DAYS + 1, 100_000] {
+            spec.workload.days = days;
+            let err = spec.build().map(|_| ()).unwrap_err();
+            assert_eq!(err, SpecError::HorizonTooLong { days });
+            assert!(err.to_string().contains("maximum horizon"), "{err}");
+        }
+        spec.workload.days = MAX_HORIZON_DAYS;
         assert!(spec.build().is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_parse_error_not_a_crash() {
+        let err = ScenarioSpec::from_json(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

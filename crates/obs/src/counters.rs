@@ -108,6 +108,10 @@ counter_bank! {
     compressed_raise_cols,
     /// Columns examined by the compressed bound stages (hot-set refresh).
     compressed_bound_scan_cols,
+    /// Columns the compressed round loop (Stage 3) evaluated.
+    compressed_rounds_cols,
+    /// Compressed round loops re-run on every column after a cold tie.
+    compressed_rounds_fallbacks,
     /// Persistent-matrix reuses (delta pass == one warm-cache hit).
     matrix_cache_hits,
     /// Spare-server controller decisions taken.
@@ -148,6 +152,8 @@ pub fn counters() -> &'static Counters {
         compressed_poisons: AtomicU64::new(0),
         compressed_raise_cols: AtomicU64::new(0),
         compressed_bound_scan_cols: AtomicU64::new(0),
+        compressed_rounds_cols: AtomicU64::new(0),
+        compressed_rounds_fallbacks: AtomicU64::new(0),
         matrix_cache_hits: AtomicU64::new(0),
         spare_decisions: AtomicU64::new(0),
         spare_servers_gauge: AtomicU64::new(0),

@@ -394,6 +394,28 @@ pub fn note_compressed_rounds_entered() {
     }
 }
 
+/// A compressed round loop (Stage 3) evaluated `cols` columns: exact
+/// bests, cache repairs and lift probes.
+#[inline]
+pub fn note_compressed_rounds_cols(cols: u64) {
+    if enabled() {
+        counters()
+            .compressed_rounds_cols
+            .fetch_add(cols, Ordering::Relaxed);
+    }
+}
+
+/// A compressed round loop met a cold column it could not resolve from
+/// local information and re-ran the pass with every column tracked.
+#[inline]
+pub fn note_compressed_rounds_fallback() {
+    if enabled() {
+        counters()
+            .compressed_rounds_fallbacks
+            .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// The compressed planner poisoned itself (registry cap or structural
 /// mismatch) and the dense kernel takes over; `sclasses`/`demands` are the
 /// registry sizes at the moment of the trip.

@@ -25,11 +25,14 @@
 //!   beyond one ulp — so the top level strictly dominates after rounding).
 //! - Per row: the hosted-entry probability `H = p^rel·p^eff(used)` and a
 //!   per-demand level cache, so a candidate probe costs one table load.
-//! - Per column (one per migratable VM, kept sorted by `VmId` to match the
-//!   dense planner's column order): its demand, host row, authoritative
-//!   completion deadline, and `dbar` — the column's best normalized score
-//!   `max_r d(r,c)` as of the epoch stamped beside it, which the lazy
-//!   floor below turns into an **upper bound** at any later pass.
+//! - Per column (one per migratable VM): its demand index, host row,
+//!   authoritative completion deadline, and `dbar` — the column's best
+//!   normalized score `max_r d(r,c)` as of the epoch stamped beside it,
+//!   which the lazy floor below turns into an **upper bound** at any later
+//!   pass. Columns live in a slot arena: a `VmId`-indexed slot map plus a
+//!   free list make lookup, insert and remove O(1), and no column ever
+//!   moves. Where the dense planner's ascending-id column order matters
+//!   (winner ties), the comparison uses the ids themselves.
 //!
 //! ## Effective bounds, the lazy floor and the hot set
 //!
@@ -84,12 +87,43 @@
 //! A planning pass then reduces to: patch; if the hot set is empty, stop
 //! (the common case, no column outside the dirty set visited); otherwise
 //! exactly refresh the hot columns; only if a genuine exceeder survives
-//! does the pass materialize per-column exact bests and run Algorithm 1's
-//! round loop — whose winner scan, tie-breaks and repair heuristics mirror
-//! the dense planner operation-for-operation, so the proposed migration
-//! sequence is bit-identical. Debug builds check every pass that each
-//! effective bound dominates its exact score and that hot-set membership
-//! matches `effective bound > MIG_threshold`.
+//! does the pass run Algorithm 1's round loop, and that loop too touches
+//! only the columns that can matter. Debug builds check every pass that
+//! each effective bound dominates its exact score and that hot-set
+//! membership matches `effective bound > MIG_threshold`.
+//!
+//! ## The round loop on tracked columns
+//!
+//! The dense planner caches a best move per column, picks the highest
+//! cached score above `MIG_threshold` (ties to the lowest id), applies it,
+//! and repairs the cache: columns that moved, that are hosted on the
+//! source or target, or whose cached row is one of them are rescanned
+//! exactly; every other column probes the two changed rows, source first,
+//! and takes a strictly better score. Only the two rows change, so every
+//! cached score equals the column's exact score; cached *rows* can differ
+//! from the exact best's only where scores tie.
+//!
+//! The compressed loop keeps that cache only for a **tracked** set: the
+//! Stage 2 survivors, then in each round the moved column, the columns
+//! hosted on the source or target (dense rescans them), and the cold
+//! columns the two rows' new levels lift above the threshold. A cold
+//! column's score stays at or below the threshold until lifted, so it can
+//! never win, and its cached row cannot matter until then. Lifted columns
+//! are found like a patch's: the round's bucket inserts are noted and
+//! raised, and the raise's `H`-prefix walk yields every column they could
+//! lift. A lifted column's cached best is the better of the source and
+//! target, whichever path dense takes — except when the two tie and the
+//! target's id is lower: a rescan (cached row on the source or target)
+//! takes the target, a probe takes the source, and only the untracked
+//! cached row tells which. That pass is undone move by move and re-run
+//! with every column tracked, which is the dense loop itself.
+//!
+//! A round loop gets an epoch of its own, so its raises reach every
+//! column stamped earlier in the pass. At its end the tracked columns are
+//! stamped with their cached (exact) scores; cold columns keep their
+//! `dbar` and epoch, and the round raises keep their effective bounds
+//! sound, as a patch's raises do (walked columns whose bound now clears
+//! the threshold join the hot set).
 //!
 //! The planner's own hypothetical row mutations (and any divergence from
 //! the simulator skipping a proposed move, or the double-reservation
@@ -192,10 +226,13 @@ impl Bucket {
     }
 }
 
-/// One matrix column: a migratable VM.
+/// One matrix column: a migratable VM, held in a slot of the column arena
+/// (`CompressedPlanner::cols`, addressed through `slot_of`).
 #[derive(Debug, Clone)]
 struct Col {
     id: VmId,
+    /// Registered demand index; a dirty column whose demand is unchanged
+    /// keeps it without a registry lookup.
     demand: u8,
     host: u32,
     /// Authoritative completion deadline (`now + estimated_remaining`),
@@ -203,23 +240,29 @@ struct Col {
     deadline: SimTime,
     /// Exact `max_r d(r, c)` as of `epoch`; see the module docs.
     dbar: f64,
-    /// Epoch at which `dbar` was last computed exactly (narrow: every
-    /// column insert or removal moves the sorted `cols` tail).
+    /// Epoch at which `dbar` was last computed exactly.
     epoch: u32,
 }
 
-impl Col {
-    fn new(id: VmId, demand: u8, host: u32, deadline: SimTime) -> Self {
-        Col {
-            id,
-            demand,
-            host,
-            deadline,
-            dbar: f64::INFINITY,
-            epoch: 0,
-        }
-    }
+/// `slot_of` sentinel: the VM has no column.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A column Algorithm 1's round loop tracks: its remaining time under the
+/// pass's hypothetical moves and the dense planner's cached best move.
+#[derive(Debug, Clone, Copy)]
+struct Tracked {
+    slot: u32,
+    id: VmId,
+    rem: u64,
+    best: Option<(u32, f64)>,
 }
+
+/// A cold column lifted above the threshold by a move's source and target
+/// at the same score, with the target's id below the source's: the dense
+/// result depends on a cached best row the round loop never materialized
+/// (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ColdTie;
 
 /// Total-order key of a hosted-entry probability: the bits of a positive
 /// `H` order like its value; `H ≤ 0` (every candidate scores ∞) sorts
@@ -292,7 +335,15 @@ pub(crate) struct CompressedPlanner {
     buckets: Vec<Bucket>,
     touched_buckets: Vec<u32>,
     snapshots_armed: bool,
+    /// Column arena. A removed column's slot goes on `free_slots` (its
+    /// contents are stale) and is reused by the next insert.
     cols: Vec<Col>,
+    free_slots: Vec<u32>,
+    /// `VmId.0 → slot` ([`NO_SLOT`] = no column). VM ids are assigned
+    /// densely in arrival order, so a flat vector is the map; scanning it
+    /// visits the live columns in ascending-id order.
+    slot_of: Vec<u32>,
+    live_cols: usize,
     /// Bumped by every patch and rebuild; stamps exact bounds and raises.
     epoch: u32,
     /// Per demand: the numerator floor, `(epoch, p_cap)` raises with
@@ -314,9 +365,16 @@ pub(crate) struct CompressedPlanner {
     /// planner's snapshot touched-sets.
     self_dirty_pms: BTreeSet<PmId>,
     self_dirty_vms: BTreeSet<VmId>,
-    // Round-loop scratch, reused across passes.
-    rem: Vec<u64>,
-    best: Vec<Option<(u32, f64)>>,
+    // Round-loop scratch, reused across passes: the tracked columns, a
+    // per-slot membership flag and the columns a round raise lifted.
+    round: Vec<Tracked>,
+    in_round: Vec<bool>,
+    lifted: Vec<(VmId, u32)>,
+    /// Columns Stage 3 evaluated (exact bests, repairs, lift probes).
+    rounds_cols: u64,
+    /// Passes whose round loop met a [`ColdTie`] and re-ran on every
+    /// column.
+    round_fallbacks: u64,
 }
 
 impl CompressedPlanner {
@@ -339,6 +397,16 @@ impl CompressedPlanner {
         self.active_rows
     }
 
+    /// Columns Algorithm 1's round loop has evaluated so far.
+    pub(crate) fn rounds_cols(&self) -> u64 {
+        self.rounds_cols
+    }
+
+    /// Passes whose round loop fell back to tracking every column.
+    pub(crate) fn round_fallbacks(&self) -> u64 {
+        self.round_fallbacks
+    }
+
     /// Marks the mirrored state stale; the next compressed pass rebuilds
     /// from the view instead of patching.
     pub(crate) fn desync(&mut self) {
@@ -353,7 +421,7 @@ impl CompressedPlanner {
         self.synced = false;
         self.rows.clear();
         self.buckets.clear();
-        self.cols.clear();
+        self.clear_cols();
         self.host_vms.clear();
         self.stash.clear();
         self.floors.iter_mut().for_each(Vec::clear);
@@ -597,6 +665,21 @@ impl CompressedPlanner {
         p
     }
 
+    /// Column `c`'s score for candidate row `row` (0.0 when infeasible) —
+    /// the dense repair loop's probe of one changed row.
+    fn probe_d(&self, row: usize, c: usize, rem: u64, cfg: &DynamicConfig) -> f64 {
+        let p = self.probe_p(row, c, rem, cfg);
+        if p <= 0.0 {
+            return 0.0;
+        }
+        let h = self.rows[self.cols[c].host as usize].h;
+        if h > 0.0 {
+            p / h
+        } else {
+            f64::INFINITY
+        }
+    }
+
     /// The raw probability of row `row` for column `c` (0.0 when
     /// infeasible) — element-identical to the dense fast kernel's entry.
     fn probe_p(&self, row: usize, c: usize, rem: u64, cfg: &DynamicConfig) -> f64 {
@@ -747,7 +830,7 @@ impl CompressedPlanner {
         self.host_vms.clear();
         self.host_vms.resize_with(m, BTreeSet::new);
         self.active_rows = 0;
-        self.cols.clear();
+        self.clear_cols();
         self.stash.clear();
         self.self_dirty_pms.clear();
         self.self_dirty_vms.clear();
@@ -764,9 +847,7 @@ impl CompressedPlanner {
                     if self.rows.get(r).is_some_and(|row| row.active) {
                         let d = self.register_demand(vm.demand(), cfg)?;
                         let deadline = view.now + vm.estimated_remaining(view.now);
-                        self.cols.push(Col::new(vm.spec.id, d, pm.0, deadline));
-                        self.host_vms[r].insert(vm.spec.id);
-                        self.attach(r, d as usize);
+                        self.insert_col(vm.spec.id, d, r, deadline);
                     }
                 }
                 VmState::Creating { ready_at, .. } => {
@@ -802,18 +883,90 @@ impl CompressedPlanner {
         }
     }
 
-    fn col_index(&self, vm: VmId) -> Result<usize, usize> {
-        self.cols.binary_search_by_key(&vm, |c| c.id)
+    // -------------------------------------------------------------------
+    // Column arena
+    // -------------------------------------------------------------------
+
+    /// The slot of VM `vm`'s column, if it has one.
+    fn slot(&self, vm: VmId) -> Option<usize> {
+        match self.slot_of.get(vm.0 as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The live columns' slots in ascending-id order.
+    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slot_of
+            .iter()
+            .filter(|&&s| s != NO_SLOT)
+            .map(|&s| s as usize)
+    }
+
+    fn clear_cols(&mut self) {
+        self.cols.clear();
+        self.free_slots.clear();
+        self.slot_of.clear();
+        self.live_cols = 0;
+    }
+
+    /// Adds a column for `vm` (which must have none) on host row `r`.
+    fn insert_col(&mut self, vm: VmId, d: u8, r: usize, deadline: SimTime) {
+        let col = Col {
+            id: vm,
+            demand: d,
+            host: r as u32,
+            deadline,
+            dbar: f64::INFINITY,
+            epoch: 0,
+        };
+        let slot = match self.free_slots.pop() {
+            Some(s) => {
+                self.cols[s as usize] = col;
+                s
+            }
+            None => {
+                self.cols.push(col);
+                (self.cols.len() - 1) as u32
+            }
+        };
+        let i = vm.0 as usize;
+        if self.slot_of.len() <= i {
+            self.slot_of.resize(i + 1, NO_SLOT);
+        }
+        self.slot_of[i] = slot;
+        self.live_cols += 1;
+        self.host_vms[r].insert(vm);
+        self.attach(r, d as usize);
     }
 
     fn remove_col(&mut self, vm: VmId) {
-        if let Ok(i) = self.col_index(vm) {
-            let (host, d) = (self.cols[i].host as usize, self.cols[i].demand as usize);
+        if let Some(s) = self.slot(vm) {
+            let (host, d) = (self.cols[s].host as usize, self.cols[s].demand as usize);
             self.detach(host, d);
             self.hot.remove(&vm);
             self.host_vms[host].remove(&vm);
-            self.cols.remove(i);
+            self.slot_of[vm.0 as usize] = NO_SLOT;
+            self.free_slots.push(s as u32);
+            self.live_cols -= 1;
         }
+    }
+
+    /// Re-homes column `c` from row `from` to row `to` under the pass's
+    /// hypothetical state: moves its demand between the rows' `used` and
+    /// refreshes both rows.
+    fn move_col(&mut self, c: usize, from: usize, to: usize, cfg: &DynamicConfig) {
+        let (vm, d) = (self.cols[c].id, self.cols[c].demand as usize);
+        let res = self.demands[d];
+        self.rows[from].used = self.rows[from].used.saturating_sub(&res);
+        self.rows[to].used = self.rows[to].used.add(&res);
+        self.refresh_row(from, cfg);
+        self.refresh_row(to, cfg);
+        self.cols[c].host = to as u32;
+        self.host_vms[from].remove(&vm);
+        self.host_vms[to].insert(vm);
+        self.detach(from, d);
+        self.attach(to, d);
     }
 
     /// Recomputes column `c`'s exact best at `now`, stamps it with the
@@ -834,35 +987,55 @@ impl CompressedPlanner {
         hot
     }
 
-    /// Applies a raise with numerator `p_cap` to every clean column of
-    /// demand `d`: records it in the demand's floor and walks the clean
-    /// demand-`d` columns on the rows of the `H` prefix whose raised bound
-    /// clears `thr` into the hot set (`dirty` columns are refreshed
-    /// exactly instead). Returns the number of columns walked.
-    fn raise(&mut self, d: usize, p_cap: f64, thr: f64, dirty: &BTreeSet<VmId>) -> u64 {
+    /// The raises the bucket inserts noted since the last call imply: one
+    /// per demand, at the largest numerator `p_cap = rel_s·level_eff_s[top]`
+    /// its touched buckets reach. Clears the marks.
+    fn take_raises(&mut self, cfg: &DynamicConfig) -> Vec<(usize, f64)> {
+        let mut caps: Vec<(usize, f64)> = Vec::new();
+        for &b_idx in &self.touched_buckets {
+            let bucket = &mut self.buckets[b_idx as usize];
+            bucket.marked = false;
+            let Some(top) = bucket.top() else {
+                continue;
+            };
+            let d = b_idx as usize % MAX_DEMANDS;
+            let sc = &self.sclasses[b_idx as usize / MAX_DEMANDS];
+            let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
+            let p_cap = rel_cap * sc.entry.level_eff[top as usize];
+            match caps.iter_mut().find(|(cd, _)| *cd == d) {
+                Some((_, cap)) => *cap = cap.max(p_cap),
+                None => caps.push((d, p_cap)),
+            }
+        }
+        self.touched_buckets.clear();
+        caps
+    }
+
+    /// Applies a raise with numerator `p_cap` to every column of demand
+    /// `d` stamped before the current epoch: records it in the demand's
+    /// floor and appends to `lifted` the demand-`d` columns on the rows of
+    /// the `H` prefix whose raised bound clears `thr`.
+    fn raise(&mut self, d: usize, p_cap: f64, thr: f64, lifted: &mut Vec<(VmId, u32)>) {
         let floor = &mut self.floors[d];
         while floor.last().is_some_and(|&(_, q)| q <= p_cap) {
             floor.pop();
         }
-        debug_assert!(floor.last().map_or(true, |&(e, _)| e < self.epoch));
-        floor.push((self.epoch, p_cap));
-        let mut walked = 0;
-        let lifted = self.by_h[d]
+        // A larger raise of this same epoch already covers every column
+        // this one reaches.
+        if floor.last().map_or(true, |&(e, _)| e < self.epoch) {
+            floor.push((self.epoch, p_cap));
+        }
+        let prefix = self.by_h[d]
             .iter()
             .take_while(|&&(key, _)| raised(p_cap, f64::from_bits(key)) > thr);
-        for &(_, row) in lifted {
+        for &(_, row) in prefix {
             for &vm in &self.host_vms[row as usize] {
-                if dirty.contains(&vm) {
-                    continue;
-                }
-                let c = self.col_index(vm).expect("hosted VMs are columns");
+                let c = self.slot(vm).expect("hosted VMs are columns");
                 if self.cols[c].demand as usize == d {
-                    self.hot.insert(vm);
-                    walked += 1;
+                    lifted.push((vm, c as u32));
                 }
             }
         }
-        walked
     }
 
     /// Column `c`'s effective bound: its exact score as of its epoch,
@@ -934,12 +1107,16 @@ impl CompressedPlanner {
                         self.remove_col(vm_id);
                         continue;
                     }
-                    let d = self.register_demand(vm.demand(), cfg)?;
                     let deadline = view.now + vm.estimated_remaining(view.now);
-                    match self.col_index(vm_id) {
-                        Ok(i) => {
+                    match self.slot(vm_id) {
+                        Some(i) => {
                             let old_host = self.cols[i].host as usize;
                             let old_d = self.cols[i].demand;
+                            let d = if self.demands[old_d as usize] == *vm.demand() {
+                                old_d
+                            } else {
+                                self.register_demand(vm.demand(), cfg)?
+                            };
                             if old_host != r {
                                 self.host_vms[old_host].remove(&vm_id);
                                 self.host_vms[r].insert(vm_id);
@@ -953,10 +1130,9 @@ impl CompressedPlanner {
                             col.host = pm.0;
                             col.deadline = deadline;
                         }
-                        Err(i) => {
-                            self.cols.insert(i, Col::new(vm_id, d, pm.0, deadline));
-                            self.host_vms[r].insert(vm_id);
-                            self.attach(r, d as usize);
+                        None => {
+                            let d = self.register_demand(vm.demand(), cfg)?;
+                            self.insert_col(vm_id, d, r, deadline);
                         }
                     }
                 }
@@ -971,36 +1147,28 @@ impl CompressedPlanner {
         // Bound-raise triggers: buckets that gained an insert can now score
         // higher for *any* demand-matching column (a newcomer can turn a
         // level that held only a column's own host into a real candidate,
-        // so a top comparison alone would be unsound). One raise per
-        // demand, at the largest numerator its touched buckets reach.
+        // so a top comparison alone would be unsound). Dirty columns are
+        // refreshed exactly instead of walked.
         self.snapshots_armed = false;
-        let mut caps: Vec<(usize, f64)> = Vec::new();
-        for &b_idx in &self.touched_buckets {
-            let bucket = &mut self.buckets[b_idx as usize];
-            bucket.marked = false;
-            let Some(top) = bucket.top() else {
-                continue;
-            };
-            let d = b_idx as usize % MAX_DEMANDS;
-            let sc = &self.sclasses[b_idx as usize / MAX_DEMANDS];
-            let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
-            let p_cap = rel_cap * sc.entry.level_eff[top as usize];
-            match caps.iter_mut().find(|(cd, _)| *cd == d) {
-                Some((_, cap)) => *cap = cap.max(p_cap),
-                None => caps.push((d, p_cap)),
+        let mut lifted = std::mem::take(&mut self.lifted);
+        lifted.clear();
+        for (d, p_cap) in self.take_raises(cfg) {
+            self.raise(d, p_cap, cfg.mig_threshold, &mut lifted);
+        }
+        let mut raise_cols = 0u64;
+        for &(vm, _) in &lifted {
+            if !dirty_cols.contains(&vm) {
+                self.hot.insert(vm);
+                raise_cols += 1;
             }
         }
-        self.touched_buckets.clear();
-        let mut raise_cols = 0u64;
-        for (d, p_cap) in caps {
-            raise_cols += self.raise(d, p_cap, cfg.mig_threshold, &dirty_cols);
-        }
+        self.lifted = lifted;
         dvmp_obs::note_compressed_raise(raise_cols);
 
         // Exact refresh of every dirty column that survived as live.
         let mut refreshed = 0u64;
         for &vm_id in &dirty_cols {
-            if let Ok(c) = self.col_index(vm_id) {
+            if let Some(c) = self.slot(vm_id) {
                 self.refresh_exact(c, view.now, cfg);
                 refreshed += 1;
             }
@@ -1017,8 +1185,11 @@ impl CompressedPlanner {
     #[cfg(debug_assertions)]
     fn assert_bounds(&self, now: SimTime, cfg: &DynamicConfig) {
         let thr = cfg.mig_threshold;
-        for c in 0..self.cols.len() {
+        debug_assert_eq!(self.live_slots().count(), self.live_cols);
+        debug_assert_eq!(self.live_cols + self.free_slots.len(), self.cols.len());
+        for c in self.live_slots() {
             let col = &self.cols[c];
+            debug_assert_eq!(self.slot(col.id), Some(c), "slot map of vm {:?}", col.id);
             let rem = col.deadline.saturating_since(now).as_secs();
             let exact = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
             let bound = self.effective_bound(c);
@@ -1040,11 +1211,12 @@ impl CompressedPlanner {
             );
         }
         debug_assert!(
-            self.hot.iter().all(|vm| self.col_index(*vm).is_ok()),
+            self.hot.iter().all(|vm| self.slot(*vm).is_some()),
             "hot set names a dropped column"
         );
         let mut hosted: std::collections::BTreeMap<(u8, u32), u32> = Default::default();
-        for col in &self.cols {
+        for c in self.live_slots() {
+            let col = &self.cols[c];
             *hosted.entry((col.demand, col.host)).or_default() += 1;
         }
         for (&(d, r), &n) in &hosted {
@@ -1078,7 +1250,7 @@ impl CompressedPlanner {
         if !self.ensure_synced(view, delta, cfg) {
             return None;
         }
-        if self.cols.is_empty() || self.active_rows < 2 {
+        if self.live_cols == 0 || self.active_rows < 2 {
             return Some((Vec::new(), false));
         }
         // Checked mode: in debug builds, prove the effective bounds
@@ -1097,7 +1269,7 @@ impl CompressedPlanner {
         let hot = std::mem::take(&mut self.hot);
         let mut any = false;
         for &vm in &hot {
-            let c = self.col_index(vm).expect("hot columns are live");
+            let c = self.slot(vm).expect("hot columns are live");
             any |= self.refresh_exact(c, view.now, cfg);
         }
         dvmp_obs::note_compressed_bound_scan(hot.len() as u64);
@@ -1109,108 +1281,224 @@ impl CompressedPlanner {
         Some(self.run_rounds(view.now, cfg))
     }
 
-    /// Algorithm 1's migration rounds with the per-column best cache and
-    /// its repair heuristics, mirrored from the dense planner. Returns the
-    /// move batch and whether the round cap stopped it.
+    /// Algorithm 1's migration rounds, on the tracked columns only (module
+    /// docs); a pass that meets a [`ColdTie`] is undone and re-run with
+    /// every column tracked. Returns the move batch and whether the round
+    /// cap stopped it.
     fn run_rounds(&mut self, now: SimTime, cfg: &DynamicConfig) -> (Vec<Migration>, bool) {
-        let n = self.cols.len();
-        let mut rem = std::mem::take(&mut self.rem);
-        let mut best = std::mem::take(&mut self.best);
-        rem.clear();
-        best.clear();
-        rem.extend(
-            self.cols
-                .iter()
-                .map(|col| col.deadline.saturating_since(now).as_secs()),
-        );
-        for (c, &r) in rem.iter().enumerate() {
-            best.push(self.exact_best(c, r, cfg));
-        }
+        // The round loop's raises get an epoch of their own, so they reach
+        // the columns Stages 1–2 and the patch stamped this pass.
+        self.epoch += 1;
         let mut moves = Vec::new();
-        let mut capped = true;
-        for _round in 0..cfg.mig_round {
+        let capped = match self.rounds(now, cfg, false, &mut moves) {
+            Ok(capped) => capped,
+            Err(ColdTie) => {
+                self.round_fallbacks += 1;
+                dvmp_obs::note_compressed_rounds_fallback();
+                for m in moves.iter().rev() {
+                    let c = self.slot(m.vm).expect("moved columns are live");
+                    self.move_col(c, m.to.0 as usize, m.from.0 as usize, cfg);
+                }
+                moves.clear();
+                self.rounds(now, cfg, true, &mut moves)
+                    .expect("no column is cold when every column is tracked")
+            }
+        };
+        // The pass's own touches are re-read authoritatively next patch.
+        for m in &moves {
+            self.self_dirty_pms.insert(m.from);
+            self.self_dirty_pms.insert(m.to);
+            self.self_dirty_vms.insert(m.vm);
+        }
+        (moves, capped)
+    }
+
+    /// Starts tracking column `c` with its exact best.
+    fn track(&mut self, round: &mut Vec<Tracked>, c: usize, now: SimTime, cfg: &DynamicConfig) {
+        let rem = self.cols[c].deadline.saturating_since(now).as_secs();
+        round.push(Tracked {
+            slot: c as u32,
+            id: self.cols[c].id,
+            rem,
+            best: self.exact_best(c, rem, cfg),
+        });
+        self.in_round[c] = true;
+    }
+
+    /// The round loop proper, mirroring the dense planner's winner scan,
+    /// tie-breaks and per-column best-cache repair operation for operation
+    /// on the tracked columns: the Stage 2 survivors (every column when
+    /// `all`), plus each round's moved column, the columns hosted on its
+    /// source and target, and the cold columns its bucket inserts lift
+    /// above the threshold. Appends the accepted moves to `moves`; returns
+    /// whether the round cap stopped the loop.
+    fn rounds(
+        &mut self,
+        now: SimTime,
+        cfg: &DynamicConfig,
+        all: bool,
+        moves: &mut Vec<Migration>,
+    ) -> Result<bool, ColdTie> {
+        let thr = cfg.mig_threshold;
+        let mut round = std::mem::take(&mut self.round);
+        let mut lifted = std::mem::take(&mut self.lifted);
+        round.clear();
+        self.in_round.resize(self.cols.len(), false);
+        let start: Vec<usize> = if all {
+            self.live_slots().collect()
+        } else {
+            self.hot
+                .iter()
+                .map(|&vm| self.slot(vm).expect("hot columns are live"))
+                .collect()
+        };
+        for c in start {
+            self.track(&mut round, c, now, cfg);
+        }
+        let mut visited = round.len() as u64;
+        let mut outcome = Ok(true);
+        'rounds: for _round in 0..cfg.mig_round {
+            // Dense scans columns in ascending-id order and keeps the first
+            // maximum: the largest score, ties to the lowest id.
             let mut winner: Option<(usize, u32, f64)> = None;
-            for (c, entry) in best.iter().enumerate() {
-                if let Some((row, d)) = *entry {
-                    if d > cfg.mig_threshold && winner.map_or(true, |(_, _, wd)| d > wd) {
-                        winner = Some((c, row, d));
+            for (i, t) in round.iter().enumerate() {
+                if let Some((row, d)) = t.best {
+                    if d > thr
+                        && winner.map_or(true, |(wi, _, wd)| {
+                            d > wd || (d == wd && t.id < round[wi].id)
+                        })
+                    {
+                        winner = Some((i, row, d));
                     }
                 }
             }
-            let Some((col, to, _d)) = winner else {
-                capped = false;
+            let Some((wi, to, _d)) = winner else {
+                outcome = Ok(false);
                 break;
             };
             let to = to as usize;
+            let col = round[wi].slot as usize;
             let from = self.cols[col].host as usize;
-            let res = self.demands[self.cols[col].demand as usize];
-            self.rows[from].used = self.rows[from].used.saturating_sub(&res);
-            self.rows[to].used = self.rows[to].used.add(&res);
-            self.refresh_row(from, cfg);
-            self.refresh_row(to, cfg);
+            self.snapshots_armed = !all;
+            self.move_col(col, from, to, cfg);
+            self.snapshots_armed = false;
             let mig_secs = self.sclasses[self.rows[to].sclass as usize]
                 .entry
                 .migration_secs;
-            rem[col] = rem[col].saturating_sub(mig_secs);
-            let vm_id = self.cols[col].id;
-            self.cols[col].host = to as u32;
-            self.host_vms[from].remove(&vm_id);
-            self.host_vms[to].insert(vm_id);
-            let d = self.cols[col].demand as usize;
-            self.detach(from, d);
-            self.attach(to, d);
+            round[wi].rem = round[wi].rem.saturating_sub(mig_secs);
             moves.push(Migration {
-                vm: vm_id,
+                vm: self.cols[col].id,
                 from: self.row_ids[from],
                 to: self.row_ids[to],
             });
 
             // Repair the per-column cache (mirrors the dense repair loop,
             // including its zero-entry skip).
-            for c in 0..n {
+            for t in round.iter_mut() {
+                let c = t.slot as usize;
                 let host = self.cols[c].host as usize;
                 let needs_rescan = c == col
                     || host == from
                     || host == to
-                    || best[c].is_some_and(|(r, _)| r as usize == from || r as usize == to);
+                    || t.best
+                        .is_some_and(|(r, _)| r as usize == from || r as usize == to);
                 if needs_rescan {
-                    best[c] = self.exact_best(c, rem[c], cfg);
+                    t.best = self.exact_best(c, t.rem, cfg);
                 } else {
                     for row in [from, to] {
                         if row == host {
                             continue;
                         }
-                        let p = self.probe_p(row, c, rem[c], cfg);
-                        if p <= 0.0 {
-                            continue;
-                        }
-                        let h = self.rows[host].h;
-                        let d = if h > 0.0 { p / h } else { f64::INFINITY };
-                        if d > 0.0 && best[c].map_or(true, |(_, bd)| d > bd) {
-                            best[c] = Some((row as u32, d));
+                        let d = self.probe_d(row, c, t.rem, cfg);
+                        if d > 0.0 && t.best.map_or(true, |(_, bd)| d > bd) {
+                            t.best = Some((row as u32, d));
                         }
                     }
                 }
             }
-        }
-        // The exact bests become the carried bounds, and the pass's own
-        // touches are re-read authoritatively next patch.
-        self.hot.clear();
-        for (col, b) in self.cols.iter_mut().zip(best.iter()) {
-            col.dbar = b.map_or(0.0, |(_, d)| d);
-            col.epoch = self.epoch;
-            if col.dbar > cfg.mig_threshold {
-                self.hot.insert(col.id);
+            visited += round.len() as u64;
+            if all {
+                continue;
+            }
+            // Columns hosted on the source or target: dense rescans them.
+            for row in [from, to] {
+                let hosted: Vec<usize> = self.host_vms[row]
+                    .iter()
+                    .map(|&vm| self.slot(vm).expect("hosted VMs are columns"))
+                    .filter(|&c| !self.in_round[c])
+                    .collect();
+                visited += hosted.len() as u64;
+                for c in hosted {
+                    self.track(&mut round, c, now, cfg);
+                }
+            }
+            // Cold columns: only the source's and target's new levels can
+            // have lifted one above the threshold, and the raise's `H`
+            // prefix holds every column they could lift. A lifted column's
+            // cached best is the better of the two rows (dense either
+            // probes them, source first, or rescans exactly) — unless they
+            // tie and the target's id is lower, where the two disagree.
+            lifted.clear();
+            for (d, p_cap) in self.take_raises(cfg) {
+                self.raise(d, p_cap, thr, &mut lifted);
+            }
+            for &(vm, c) in &lifted {
+                let c = c as usize;
+                if self.in_round[c] {
+                    continue;
+                }
+                visited += 1;
+                let rem = self.cols[c].deadline.saturating_since(now).as_secs();
+                let (d_from, d_to) = (
+                    self.probe_d(from, c, rem, cfg),
+                    self.probe_d(to, c, rem, cfg),
+                );
+                if d_from <= thr && d_to <= thr {
+                    // Its effective bound now clears the threshold.
+                    self.hot.insert(vm);
+                    continue;
+                }
+                if d_from == d_to && to < from {
+                    outcome = Err(ColdTie);
+                    break 'rounds;
+                }
+                let best = if d_to > d_from {
+                    (to as u32, d_to)
+                } else {
+                    (from as u32, d_from)
+                };
+                round.push(Tracked {
+                    slot: c as u32,
+                    id: vm,
+                    rem,
+                    best: Some(best),
+                });
+                self.in_round[c] = true;
             }
         }
-        for m in &moves {
-            self.self_dirty_pms.insert(m.from);
-            self.self_dirty_pms.insert(m.to);
-            self.self_dirty_vms.insert(m.vm);
+        self.rounds_cols += visited;
+        dvmp_obs::note_compressed_rounds_cols(visited);
+        // The tracked columns' cached bests are exact at the post-round
+        // state and become their bounds; cold columns keep theirs, which
+        // the round raises keep sound.
+        for t in &round {
+            let c = t.slot as usize;
+            self.in_round[c] = false;
+            if outcome.is_err() {
+                continue;
+            }
+            let col = &mut self.cols[c];
+            col.dbar = t.best.map_or(0.0, |(_, d)| d);
+            col.epoch = self.epoch;
+            if col.dbar > thr {
+                self.hot.insert(col.id);
+            } else {
+                self.hot.remove(&col.id);
+            }
         }
-        self.rem = rem;
-        self.best = best;
-        (moves, capped)
+        self.round = round;
+        self.lifted = lifted;
+        outcome
     }
 
     /// New-arrival placement (the Section III-C column), with the dense
@@ -1284,6 +1572,7 @@ mod tests {
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
     use dvmp_cluster::pm::PmClass;
     use dvmp_cluster::vm::Vm;
+    use dvmp_simcore::SimDuration;
     use std::collections::BTreeMap;
 
     /// Which planner a twin runs: the dense reference or production.
@@ -1578,7 +1867,7 @@ mod tests {
             .expect("compressible");
         assert_eq!(moves, dense.plan(t0));
         assert!(moves.is_empty() && planner.hot.is_empty());
-        let v = planner.col_index(VmId(1)).unwrap();
+        let v = planner.slot(VmId(1)).unwrap();
         assert!(planner.cols[v].dbar <= cfg.mig_threshold);
 
         // VM 2 lands on PM 7: that row enters the (slow, 512 MiB) bucket
@@ -1597,7 +1886,7 @@ mod tests {
         let delta = comp.dc.take_fleet_delta();
         assert!(!delta.dirty_vms().contains(&VmId(1)));
         assert!(planner.ensure_synced(&comp.view(t1), Some(delta), &cfg));
-        let v = planner.col_index(VmId(1)).unwrap();
+        let v = planner.slot(VmId(1)).unwrap();
         assert!(
             planner.cols[v].epoch < planner.epoch,
             "VM 1 was not refreshed by the patch"
@@ -1614,13 +1903,135 @@ mod tests {
         let (moves, _) = planner
             .plan_migrations(&comp.view(t1), Some(delta), &cfg)
             .expect("compressible");
-        let v = planner.col_index(VmId(1)).unwrap();
+        let v = planner.slot(VmId(1)).unwrap();
         assert_eq!(
             planner.cols[v].epoch, planner.epoch,
             "Stage 2 refreshed VM 1"
         );
         assert_eq!(moves, dense.plan(t1));
         assert!(!moves.is_empty(), "the two lone VMs consolidate");
+    }
+
+    /// A VM of `cores` cores and `mem` MiB with a long estimate.
+    fn shaped(id: u32, cores: u64, mem: u64) -> VmSpec {
+        VmSpec::exact(
+            VmId(id),
+            SimTime::ZERO,
+            ResourceVector::cpu_mem(cores, mem),
+            SimDuration::from_secs(200_000),
+        )
+    }
+
+    /// Plans one pass of `fleet`'s VMs with the dense reference and with
+    /// production, asserts the batches agree, and returns production's
+    /// policy and batch.
+    fn plan_both(dc: &Datacenter, vms: &BTreeMap<VmId, Vm>) -> (DynamicPlacement, Vec<Migration>) {
+        let view = PlacementView {
+            dc,
+            vms,
+            now: SimTime::ZERO,
+        };
+        let mut dense = policy_with(Kernel::Dense, DynamicConfig::default());
+        let mut comp = policy_with(Kernel::Compressed, DynamicConfig::default());
+        let moves = comp.plan_migrations(&view);
+        assert_eq!(moves, dense.plan_migrations(&view), "dense vs compressed");
+        assert_eq!(
+            comp.compressed_passes(),
+            1,
+            "the compressed kernel served it"
+        );
+        (comp, moves)
+    }
+
+    #[test]
+    fn cold_tie_reruns_the_pass_on_every_column() {
+        // Three identical fast PMs. A 1-core VM lands on level
+        // floor(sqrt(cores·MiB / 256)) of its prospective row, and its
+        // score for a candidate is (nearly) the ratio of that level to
+        // its host's level.
+        let mut dc = FleetBuilder::new()
+            .add_class(PmClass::paper_fast(), 3, 0.99)
+            .initially_on(true)
+            .build();
+        let mut vms = BTreeMap::new();
+        // (vm, cores, MiB, pm):
+        // - PM 0, the target: one 1-core / 3 GiB VM (level 3).
+        // - PM 1, the source: CPU-full with two 4-core VMs (level 4). VM 2
+        //   wins round 1 (score 8/4 onto PM 0), ahead of its twin VM 3.
+        // - PM 2: two cold columns (level 6; PM 0 offers them level 6, PM
+        //   1 has no core left). After the move, PM 1 becomes feasible
+        //   for them at level 8 and PM 0 reaches level 8 too: both lift
+        //   them to 8/6 at the same score, and the target's id is lower.
+        let layout = [
+            (1, 1, 3_072, 0),
+            (2, 4, 256, 1),
+            (3, 4, 256, 1),
+            (4, 1, 3_072, 2),
+            (5, 1, 3_072, 2),
+        ];
+        for (vm, cores, mem, pm) in layout {
+            let spec = shaped(vm, cores, mem);
+            install(&mut dc, &mut vms, spec, PmId(pm), SimTime::ZERO);
+        }
+        let (comp, moves) = plan_both(&dc, &vms);
+        assert_eq!(
+            moves.first(),
+            Some(&Migration {
+                vm: VmId(2),
+                from: PmId(1),
+                to: PmId(0),
+            })
+        );
+        // Dense rescans VMs 4 and 5 (their cached row is PM 0) and takes the
+        // lower row of the tie; probing would have taken the source first.
+        // The round loop cannot tell which, so it re-runs the pass.
+        assert_eq!(comp.compressed_round_fallbacks(), 1, "the tie was caught");
+    }
+
+    #[test]
+    fn round_loop_visits_only_the_hot_columns() {
+        // 100 CPU-full PMs of eight 1-core / 256 MiB VMs each: 800 cold
+        // columns (no row can offer them more than their host's level).
+        let mut dc = FleetBuilder::new()
+            .add_class(PmClass::paper_fast(), 102, 0.99)
+            .initially_on(true)
+            .build();
+        let mut vms = BTreeMap::new();
+        let mut id = 0;
+        let mut add = |dc: &mut Datacenter, vms: &mut BTreeMap<VmId, Vm>, pm: u32| {
+            id += 1;
+            install(dc, vms, spec(id, 256, 200_000), PmId(pm), SimTime::ZERO);
+        };
+        for pm in 0..100 {
+            for _ in 0..8 {
+                add(&mut dc, &mut vms, pm);
+            }
+        }
+        // One hot column: a lone VM on PM 100, which PM 101 (four VMs)
+        // offers level 5.
+        add(&mut dc, &mut vms, 100);
+        for _ in 0..4 {
+            add(&mut dc, &mut vms, 101);
+        }
+        let (comp, moves) = plan_both(&dc, &vms);
+        assert_eq!(
+            moves,
+            vec![Migration {
+                vm: VmId(801),
+                from: PmId(100),
+                to: PmId(101),
+            }]
+        );
+        // Entry tracks the hot column; the round adds the target's four
+        // residents; the empty round that ends the loop visits nothing.
+        let rounds = moves.len() as u64 + 1;
+        assert!(
+            comp.compressed_rounds_cols() <= 4 * rounds,
+            "Stage 3 visited {} of {} columns in {rounds} rounds",
+            comp.compressed_rounds_cols(),
+            vms.len()
+        );
+        assert_eq!(comp.compressed_round_fallbacks(), 0);
     }
 
     #[test]

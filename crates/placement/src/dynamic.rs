@@ -309,6 +309,18 @@ impl DynamicPlacement {
         self.comp.occupied_buckets()
     }
 
+    /// Columns the compressed planner's round loop has evaluated (exact
+    /// bests, cache repairs and lift probes) — O(hot) per pass.
+    pub fn compressed_rounds_cols(&self) -> u64 {
+        self.comp.rounds_cols()
+    }
+
+    /// Compressed passes whose round loop met a cold tie it could not
+    /// resolve locally and re-ran with every column tracked.
+    pub fn compressed_round_fallbacks(&self) -> u64 {
+        self.comp.round_fallbacks()
+    }
+
     /// Whether the next pass runs the class-compressed planner: it needs
     /// the built-in factors only (extension factors may vary with time)
     /// and `p^eff`, which its level buckets rank by.
